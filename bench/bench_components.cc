@@ -4,10 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
 #include "src/mem/memory_manager.h"
 #include "src/rdma/fabric.h"
+#include "src/rdma/fair_link.h"
+#include "src/sim/cpu_core.h"
 #include "src/sim/engine.h"
 #include "src/unithread/context.h"
 #include "src/unithread/universal_stack.h"
@@ -112,6 +116,90 @@ void BM_EngineScheduleDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EngineScheduleDispatch);
+
+// Host cost per layer of the event engine. Each item is one fiber Consume,
+// one cancellable deadline, or one link item.
+constexpr int kEngineBatch = 10000;
+
+void BM_EngineConsumeInline(benchmark::State& state) {
+  // Nothing else is queued, so every wake-up is the next event: the clock
+  // advances inline, with no queue operation or context switch.
+  for (auto _ : state) {
+    state.PauseTiming();
+    Engine e;
+    CpuCore core(&e, CycleClock(2000), "core");
+    e.SpawnFiber("consumer", [&core] {
+      for (int i = 0; i < kEngineBatch; ++i) {
+        core.Consume(100);
+      }
+    });
+    state.ResumeTiming();
+    e.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * kEngineBatch);
+}
+BENCHMARK(BM_EngineConsumeInline);
+
+// A timer due at the same instant as each of the fiber's wake-ups, queued
+// earlier: every Consume takes the queued path (push, pop, two switches).
+struct CompetingTimer {
+  Engine* e;
+  void operator()() const { e->Schedule(50, *this); }
+};
+
+void BM_EngineConsumeQueued(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    Engine e;
+    CpuCore core(&e, CycleClock(2000), "core");
+    e.Schedule(50, CompetingTimer{&e});
+    e.SpawnFiber("consumer", [&e, &core] {
+      for (int i = 0; i < kEngineBatch; ++i) {
+        core.Consume(100);  // 50 ns.
+      }
+      e.Stop();
+    });
+    state.ResumeTiming();
+    e.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * kEngineBatch);
+}
+BENCHMARK(BM_EngineConsumeQueued);
+
+void BM_EngineCancellableChurn(benchmark::State& state) {
+  // Schedule a deadline and cancel it, as every settled fetch does; the run
+  // at the end pops the stale entries.
+  Engine e;
+  uint64_t vpage = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kEngineBatch; ++i) {
+      Engine::EventHandle h = e.ScheduleCancellable(1000, [&vpage, i] { vpage += i; });
+      h.Cancel();
+    }
+    e.Run();
+  }
+  benchmark::DoNotOptimize(vpage);
+  state.SetItemsProcessed(state.iterations() * kEngineBatch);
+}
+BENCHMARK(BM_EngineCancellableChurn);
+
+void BM_FairLinkEnqueueServe(benchmark::State& state) {
+  // A 48-byte completion closure, the size of a fabric hop's.
+  Engine e;
+  FairLink link(&e, "link", /*gbps=*/100.0, /*fixed_ns=*/20);
+  const uint32_t flow = link.AddFlow();
+  uint64_t delivered = 0;
+  const std::array<uint64_t, 5> payload = {1, 2, 3, 4, 5};
+  for (auto _ : state) {
+    for (int i = 0; i < kEngineBatch; ++i) {
+      link.Enqueue(flow, 4096, [&delivered, payload] { delivered += payload[0]; });
+    }
+    e.Run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * kEngineBatch);
+}
+BENCHMARK(BM_FairLinkEnqueueServe);
 
 void BM_PageTableFaultCycle(benchmark::State& state) {
   Engine e;

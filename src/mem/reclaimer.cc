@@ -73,7 +73,8 @@ void Reclaimer::FinishWbReplica(uint64_t vpage, bool success) {
 }
 
 void Reclaimer::DrainWriteCompletions() {
-  std::vector<Completion> batch(16);
+  std::vector<Completion>& batch = wb_batch_;
+  batch.resize(16);
   for (;;) {
     const size_t n = qp_->cq()->Poll(batch.size(), batch.begin());
     if (n == 0) {

@@ -256,6 +256,7 @@ class Reclaimer {
   uint64_t writeback_retries_ = 0;
   uint64_t writeback_aborts_ = 0;
   std::vector<uint32_t> wb_targets_scratch_;
+  std::vector<Completion> wb_batch_;  // DrainWriteCompletions poll scratch.
 
   std::deque<ResilverWork> resilver_q_;
   std::unordered_map<uint64_t, ResilverOp> resilver_ops_;      // By wr_id.

@@ -211,6 +211,10 @@ class Folder {
       case TraceEvent::kCorrupt:
         ++span.corruptions;
         break;
+      // The critical chunk landed inside the fetch-stall segment; the stall
+      // still ends at kStallDone, so the tiling is unchanged.
+      case TraceEvent::kChunkReady:
+        break;
 
       case TraceEvent::kNodeSuspect:
       case TraceEvent::kNodeDead:
@@ -219,6 +223,7 @@ class Folder {
       case TraceEvent::kScrubStart:
       case TraceEvent::kScrubDone:
       case TraceEvent::kFrameRefill:
+      case TraceEvent::kClassDequeue:
         Problem(rec, "system event with nonzero request id");
         break;
 

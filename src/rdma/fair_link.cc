@@ -23,7 +23,11 @@ void FairLink::EnableClasses(uint32_t num_classes,
     // forever; every class must accrue credit each round.
     weights_[c] = std::max<uint32_t>(1, weights_[c]);
   }
-  class_flows_.assign(num_classes_, std::vector<std::deque<Item>>(flows_.size()));
+  class_flows_.clear();
+  class_flows_.resize(num_classes_);
+  for (auto& per_flow : class_flows_) {
+    per_flow.resize(flows_.size());
+  }
   class_active_.assign(num_classes_, {});
   deficit_.assign(num_classes_, 0);
   class_queued_.assign(num_classes_, 0);
@@ -142,14 +146,19 @@ void FairLink::ServeItem(Item item) {
   }
   total_bytes_ += item.bytes;
   ++total_items_;
-  engine_->Schedule(service, [this, done = std::move(item.done)]() mutable {
-    busy_ = false;
-    // Deliver before starting the next item so completion order is stable.
-    done();
-    if (!busy_) {
-      StartNext();
-    }
-  });
+  in_service_ = std::move(item.done);
+  engine_->Schedule(service, [this] { FinishService(); });
+}
+
+void FairLink::FinishService() {
+  busy_ = false;
+  // Deliver before starting the next item so completion order is stable.
+  // Moved out first: `done` may enqueue here and start the next service.
+  DoneFn done = std::move(in_service_);
+  done();
+  if (!busy_) {
+    StartNext();
+  }
 }
 
 double FairLink::WindowUtilization() const {

@@ -21,12 +21,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/fifo.h"
+#include "src/base/inline_fn.h"
 #include "src/rdma/params.h"
 #include "src/sim/engine.h"
 
@@ -34,7 +35,7 @@ namespace adios {
 
 class FairLink {
  public:
-  using DoneFn = std::function<void()>;
+  using DoneFn = InlineFn;
   // Observes every class-scheduler grant: (class, bytes). Installed by the
   // fabric to emit kClassDequeue trace events; never fires with classes off.
   using DequeueHook = std::function<void(uint32_t cls, uint64_t bytes)>;
@@ -119,16 +120,19 @@ class FairLink {
   // Returns the serving class via `cls_out`.
   Item PopClassed(uint32_t* cls_out);
   void ServeItem(Item item);
+  // Service of the item in in_service_ ended: deliver it, then serve the next.
+  void FinishService();
 
   Engine* engine_;
   std::string name_;
   double gbps_;
   SimDuration fixed_ns_;
   Discipline discipline_;
-  std::vector<std::deque<Item>> flows_;
-  std::deque<uint32_t> active_flows_;  // Flows with queued items, RR order.
+  std::vector<Fifo<Item>> flows_;
+  Fifo<uint32_t> active_flows_;  // Flows with queued items, RR order.
   size_t total_queued_ = 0;
   bool busy_ = false;
+  DoneFn in_service_;  // Completion of the item being served while busy_.
   uint64_t total_bytes_ = 0;
   uint64_t total_items_ = 0;
   uint64_t window_bytes_mark_ = 0;
@@ -141,10 +145,10 @@ class FairLink {
   static constexpr uint64_t kQuantumBytes = 4096;
   uint32_t num_classes_ = 0;
   std::array<uint32_t, kNumTrafficClasses> weights_ = {1, 1, 1};
-  // class_flows_[cls][flow] mirrors flows_, one deque per (class, flow);
+  // class_flows_[cls][flow] mirrors flows_, one queue per (class, flow);
   // class_active_[cls] is the per-class round-robin flow order.
-  std::vector<std::vector<std::deque<Item>>> class_flows_;
-  std::vector<std::deque<uint32_t>> class_active_;
+  std::vector<std::vector<Fifo<Item>>> class_flows_;
+  std::vector<Fifo<uint32_t>> class_active_;
   std::vector<uint64_t> deficit_;
   std::vector<size_t> class_queued_;
   uint32_t scan_class_ = 0;

@@ -78,7 +78,8 @@ void Dispatcher::Loop() {
 
 size_t Dispatcher::RecycleTxCompletions() {
   size_t total = 0;
-  std::vector<Completion> batch(cfg_.cq_poll_batch);
+  std::vector<Completion>& batch = tx_batch_;
+  batch.resize(cfg_.cq_poll_batch);
   for (;;) {
     const size_t n = cq_->Poll(batch.size(), batch.begin());
     if (n == 0) {

@@ -87,6 +87,7 @@ class Dispatcher {
   WaitQueue events_;
   uint32_t rr_cursor_ = 0;
   std::vector<Worker*> idle_scratch_;
+  std::vector<Completion> tx_batch_;  // RecycleTxCompletions poll scratch.
   Stats stats_;
 };
 

@@ -200,7 +200,8 @@ void Worker::FinishRequest(RunItem* item) {
     const uint64_t busy0 = core_->busy_ns();
     CompletionQueue* cq = client_qp_->cq();
     bool seen = false;
-    std::vector<Completion> batch(cfg_.cq_poll_batch);
+    std::vector<Completion>& batch = tx_cq_batch_;
+    batch.resize(cfg_.cq_poll_batch);
     while (!seen) {
       const size_t n = cq->Poll(batch.size(), batch.begin());
       if (n == 0) {
@@ -684,7 +685,8 @@ void Worker::PostFaultReads(uint64_t vpage) {
 size_t Worker::DrainMemCq() {
   CompletionQueue* cq = mem_qp_->cq();
   size_t total = 0;
-  std::vector<Completion> batch(cfg_.cq_poll_batch);
+  std::vector<Completion>& batch = mem_cq_batch_;
+  batch.resize(cfg_.cq_poll_batch);
   for (;;) {
     const size_t n = cq->Poll(batch.size(), batch.begin());
     if (n == 0) {
@@ -729,6 +731,14 @@ size_t Worker::DrainMemCq() {
           // slot's recorded digest (docs/INTEGRITY.md). The hash cost is
           // charged to this core whether the page is clean or not.
           core_->Consume(integrity_->VerifyCost());
+          // The verify suspended this context: a fetch deadline that fired
+          // meanwhile may have failed the fetch and erased its entry, so the
+          // iterator is re-found. A fetch settled that way drops this
+          // completion as late.
+          it = pending_fetch_.find(batch[i].wr_id);
+          if (it == pending_fetch_.end()) {
+            continue;
+          }
           if (!integrity_->VerifyFetch(batch[i].wr_id, batch[i].wr_id, batch[i].node)) {
             // Silent corruption — the completion said success, the payload
             // lies. Treat it exactly like a dead READ: divergence + health

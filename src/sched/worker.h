@@ -233,6 +233,10 @@ class Worker final : public WorkerApi {
   std::unique_ptr<Prefetcher> prefetcher_;
   std::vector<uint64_t> prefetch_scratch_;
   std::vector<ReadOp> batch_ops_;  // Scratch for doorbell-batched posts.
+  // Poll scratch for DrainMemCq and the synchronous-TX wait. Neither
+  // function re-enters itself: only one context per worker runs at a time.
+  std::vector<Completion> mem_cq_batch_;
+  std::vector<Completion> tx_cq_batch_;
   Rng rng_;
 
   std::unordered_map<uint64_t, PendingFetch> pending_fetch_;

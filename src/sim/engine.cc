@@ -1,5 +1,7 @@
 #include "src/sim/engine.h"
 
+#include <algorithm>
+
 namespace adios {
 
 Fiber::Fiber(Engine* engine, std::string name, std::function<void()> fn, size_t stack_bytes)
@@ -20,29 +22,6 @@ Engine::Engine() = default;
 
 Engine::~Engine() = default;
 
-void Engine::ScheduleAt(SimTime when, std::function<void()> fn) {
-  ADIOS_DCHECK(when >= now_);
-  queue_.push(Event{when, next_seq_++, std::move(fn), nullptr});
-}
-
-Engine::EventHandle Engine::ScheduleCancellable(SimDuration delay, std::function<void()> fn) {
-  EventHandle handle;
-  handle.alive_ = std::make_shared<bool>(true);
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn), handle.alive_});
-  return handle;
-}
-
-void Engine::Dispatch(Event& ev) {
-  if (ev.alive != nullptr && !*ev.alive) {
-    return;
-  }
-  if (ev.alive != nullptr) {
-    *ev.alive = false;  // Fired events are no longer pending.
-  }
-  ++events_processed_;
-  ev.fn();
-}
-
 void Engine::Run() { RunUntil(~0ull); }
 
 void Engine::RunUntil(SimTime until) {
@@ -50,19 +29,32 @@ void Engine::RunUntil(SimTime until) {
   ADIOS_CHECK(!running_);
   running_ = true;
   stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.top().when > until) {
+  horizon_ = until;
+  while (!heap_.empty() && !stopped_) {
+    if (heap_.front().when > until) {
       now_ = until;
       running_ = false;
       return;
     }
-    // priority_queue::top() is const; the event is moved out via const_cast,
-    // which is safe because pop() follows immediately.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
+    const Entry ev = heap_.front();
+    PopFront();
     ADIOS_DCHECK(ev.when >= now_);
     now_ = ev.when;
-    Dispatch(ev);
+    if (ev.resume != nullptr) {
+      ++events_processed_;
+      ev.resume->state = ContextState::kRunning;
+      RawSwitch(current_, ev.resume);
+      continue;
+    }
+    if (slots_[ev.slot].gen != ev.gen) {
+      continue;  // Cancelled.
+    }
+    ++events_processed_;
+    // Move the callback out first: it may schedule events, which can grow
+    // slots_, and the slot is free (and reusable) from here on.
+    InlineFn fn = std::move(slots_[ev.slot].fn);
+    FreeSlot(ev.slot);
+    fn();
   }
   if (until != ~0ull && now_ < until) {
     now_ = until;
@@ -70,21 +62,46 @@ void Engine::RunUntil(SimTime until) {
   running_ = false;
 }
 
+void Engine::PopFront() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  size_t i = 0;
+  for (;;) {
+    const size_t first = kArity * i + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t end = std::min(first + kArity, n);
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Later(heap_[best], heap_[c])) {
+        best = c;
+      }
+    }
+    if (!Later(last, heap_[best])) {
+      break;
+    }
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
 Fiber* Engine::SpawnFiber(std::string name, std::function<void()> fn, size_t stack_bytes) {
   fibers_.push_back(std::make_unique<Fiber>(this, std::move(name), std::move(fn), stack_bytes));
   Fiber* fiber = fibers_.back().get();
-  Schedule(0, [this, fiber] { RawSwitch(current_, fiber->ctx()); });
+  Push(now_, fiber->ctx(), 0, 0);
   return fiber;
 }
 
-void Engine::Wait(SimDuration d) {
-  ADIOS_CHECK(!on_main());
+void Engine::WaitQueued(SimTime wake) {
   UnithreadContext* self = current_;
   self->state = ContextState::kBlocked;
-  Schedule(d, [this, self] {
-    self->state = ContextState::kRunning;
-    RawSwitch(current_, self);
-  });
+  Push(wake, self, 0, 0);
   SwitchToMain();
 }
 
@@ -120,17 +137,6 @@ Engine::StackAuditResult Engine::AuditStacks() const {
     }
   }
   return result;
-}
-
-// adios-lint: ignore(suspend-safety) -- the RawSwitch below is inside the
-// scheduled lambda and runs on the main context later; the caller of
-// ResumeLater itself never suspends.
-void Engine::ResumeLater(UnithreadContext* ctx, SimDuration delay) {
-  ADIOS_DCHECK(ctx != nullptr);
-  Schedule(delay, [this, ctx] {
-    ctx->state = ContextState::kRunning;
-    RawSwitch(current_, ctx);
-  });
 }
 
 }  // namespace adios

@@ -20,12 +20,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "src/base/annotations.h"
 #include "src/base/check.h"
+#include "src/base/inline_fn.h"
 #include "src/base/time.h"
 #include "src/check/stack_guard.h"
 #include "src/unithread/context.h"
@@ -69,27 +69,44 @@ class Engine {
 
   // --- Event API (usable from anywhere) ---
 
-  void Schedule(SimDuration delay, std::function<void()> fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
+  void Schedule(SimDuration delay, InlineFn fn) { ScheduleAt(now_ + delay, std::move(fn)); }
+  void ScheduleAt(SimTime when, InlineFn fn) {
+    ADIOS_DCHECK(when >= now_);
+    const uint32_t slot = AllocSlot(std::move(fn));
+    Push(when, nullptr, slot, slots_[slot].gen);
   }
-  void ScheduleAt(SimTime when, std::function<void()> fn);
 
-  // Cancellable variant; destroying or Cancel()ing the handle skips the event.
+  // Handle to a ScheduleCancellable event: {engine, slot, generation}.
+  // Cancel() skips the event if it has not fired yet; after it fired (or was
+  // cancelled) the slot carries a newer generation, so Cancel() is a no-op
+  // and pending() is false even once the slot is reused. Copies name the same
+  // event. Destroying a handle does not cancel its event. A handle must not
+  // be used after its engine is destroyed.
   class EventHandle {
    public:
     EventHandle() = default;
     void Cancel() {
-      if (alive_) {
-        *alive_ = false;
+      if (pending()) {
+        engine_->FreeSlot(slot_);
       }
     }
-    bool pending() const { return alive_ && *alive_; }
+    bool pending() const { return engine_ != nullptr && engine_->slots_[slot_].gen == gen_; }
 
    private:
     friend class Engine;
-    std::shared_ptr<bool> alive_;
+    EventHandle(Engine* engine, uint32_t slot, uint32_t gen)
+        : engine_(engine), slot_(slot), gen_(gen) {}
+
+    Engine* engine_ = nullptr;
+    uint32_t slot_ = 0;
+    uint32_t gen_ = 0;
   };
-  EventHandle ScheduleCancellable(SimDuration delay, std::function<void()> fn);
+  EventHandle ScheduleCancellable(SimDuration delay, InlineFn fn) {
+    const uint32_t slot = AllocSlot(std::move(fn));
+    const uint32_t gen = slots_[slot].gen;
+    Push(now_ + delay, nullptr, slot, gen);
+    return EventHandle(this, slot, gen);
+  }
 
   // Runs events until the queue empties or Stop() is called.
   ADIOS_MAY_SUSPEND void Run();
@@ -105,15 +122,38 @@ class Engine {
                     size_t stack_bytes = kDefaultFiberStack);
 
   // From inside any engine-managed context: suspend for `d` simulated time.
-  ADIOS_MAY_SUSPEND void Wait(SimDuration d);
+  //
+  // Inline advance: when the wake-up would be the very next event the loop
+  // pops, the caller keeps running and the clock moves here instead. That is
+  // the case while RunUntil is running and not stopped, the wake-up time is
+  // within its horizon, and the queue is empty or its earliest entry is
+  // strictly later (an entry at the same time has a smaller seq and would run
+  // first). next_seq_ and events_processed_ advance exactly as the queued
+  // wake-up's push and dispatch would have, so every later event keeps its
+  // seq and the run is bit-identical to queueing.
+  ADIOS_MAY_SUSPEND void Wait(SimDuration d) {
+    ADIOS_CHECK(!on_main());
+    const SimTime wake = now_ + d;
+    if (running_ && !stopped_ && wake <= horizon_ &&
+        (heap_.empty() || heap_.front().when > wake)) {
+      now_ = wake;
+      ++next_seq_;
+      ++events_processed_;
+      return;
+    }
+    WaitQueued(wake);
+  }
 
   // From inside any engine-managed context: suspend until resumed.
   ADIOS_MAY_SUSPEND void SuspendCurrent();
 
   // Schedules `ctx` to resume after `delay`. Must not double-resume. Never
-  // suspends the *caller*: the switch happens inside the scheduled event,
+  // suspends the *caller*: the switch happens when the event is dispatched,
   // on the main context.
-  ADIOS_NO_SUSPEND void ResumeLater(UnithreadContext* ctx, SimDuration delay = 0);
+  ADIOS_NO_SUSPEND void ResumeLater(UnithreadContext* ctx, SimDuration delay = 0) {
+    ADIOS_DCHECK(ctx != nullptr);
+    Push(now_ + delay, ctx, 0, 0);
+  }
 
   // Low-level switch that keeps current-context tracking coherent. `from`
   // must be the currently executing context.
@@ -154,29 +194,83 @@ class Engine {
   static constexpr size_t kDefaultFiberStack = 256 * 1024;
 
  private:
-  struct Event {
+  // One queued event: 32 bytes, no owned state. A non-null `resume` is a
+  // fiber wake-up (Wait, ResumeLater, SpawnFiber) that switches straight to
+  // that context. Otherwise the callback lives in slots_[slot], and the entry
+  // is stale (its event was cancelled) when the slot's generation moved on.
+  struct Entry {
     SimTime when;
     uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> alive;  // Null for non-cancellable events.
+    UnithreadContext* resume;
+    uint32_t slot;
+    uint32_t gen;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
+  static_assert(sizeof(Entry) == 32);
+  // Heap order: a is popped after b. Ties break by insertion order.
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+
+  // Callback storage, recycled through free_slots_. `gen` advances each time
+  // the slot is freed (fired or cancelled), which invalidates heap entries
+  // and handles that still name the old generation.
+  struct Slot {
+    InlineFn fn;
+    uint32_t gen = 0;
   };
 
-  void Dispatch(Event& ev);
+  // Queues a wake-up of the current context at `wake` and suspends it.
+  ADIOS_MAY_SUSPEND void WaitQueued(SimTime wake);
+
+  // heap_ is a 4-ary min-heap (children of i at 4i+1..4i+4): half the depth
+  // of a binary heap, and a node's children share a cache line. Both sifts
+  // move a hole instead of swapping. (when, seq) is a strict total order, so
+  // the pop sequence is the same as with any other heap.
+  static constexpr size_t kArity = 4;
+  void Push(SimTime when, UnithreadContext* resume, uint32_t slot, uint32_t gen) {
+    const Entry e{when, next_seq_++, resume, slot, gen};
+    size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!Later(heap_[parent], e)) {
+        break;
+      }
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+  // Removes heap_.front().
+  void PopFront();
+  uint32_t AllocSlot(InlineFn fn) {
+    uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    slots_[slot].fn = std::move(fn);
+    return slot;
+  }
+  void FreeSlot(uint32_t slot) {
+    Slot& s = slots_[slot];
+    s.fn.Reset();
+    ++s.gen;
+    free_slots_.push_back(slot);
+  }
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   bool stopped_ = false;
   bool running_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  SimTime horizon_ = 0;  // `until` of the RunUntil in progress.
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   UnithreadContext main_ctx_;
   UnithreadContext* current_ = &main_ctx_;
   std::vector<std::unique_ptr<Fiber>> fibers_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/base/fifo.h"
 #include "src/base/ring_buffer.h"
 #include "src/base/stats.h"
 #include "src/base/time.h"
@@ -44,6 +47,38 @@ TEST(RingBuffer, ClearEmpties) {
   EXPECT_TRUE(rb.empty());
   EXPECT_TRUE(rb.PushBack(9));
   EXPECT_EQ(rb.Front(), 9);
+}
+
+TEST(Fifo, GrowsWhileWrappedAndKeepsOrder) {
+  Fifo<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  for (int i = 0; i < 6; ++i) {
+    q.push_back(next_in++);
+  }
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  // The head sits mid-ring; pushing past capacity 8 grows a wrapped ring.
+  for (int i = 0; i < 20; ++i) {
+    q.push_back(next_in++);
+  }
+  EXPECT_EQ(q.size(), 21u);
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Fifo, PopReleasesOwnedState) {
+  Fifo<std::shared_ptr<int>> q;
+  auto value = std::make_shared<int>(7);
+  q.push_back(value);
+  EXPECT_EQ(value.use_count(), 2);
+  q.pop_front();
+  EXPECT_EQ(value.use_count(), 1);
 }
 
 TEST(RunningStats, MeanAndVariance) {

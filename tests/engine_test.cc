@@ -1,13 +1,62 @@
-// Discrete-event engine: ordering, determinism, fiber suspension semantics.
+// Discrete-event engine: ordering, determinism, fiber suspension semantics,
+// cancellation slots, the inline time advance, InlineFn, and the
+// allocation-free steady state (checked with a counting operator new).
 
 #include "src/sim/engine.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/inline_fn.h"
+#include "src/base/rng.h"
+#include "src/rdma/fair_link.h"
 #include "src/sim/cpu_core.h"
 #include "src/sim/wait_queue.h"
+
+// Every allocation in this binary goes through here, so a test can count the
+// allocations a stretch of code makes. Single-threaded tests only. All
+// unaligned forms are replaced together, so no block is freed by a different
+// allocator than the one that made it (AddressSanitizer checks the pairing).
+namespace {
+uint64_t g_allocations = 0;
+
+void* CountedAlloc(std::size_t n) noexcept {
+  ++g_allocations;
+  return std::malloc(n == 0 ? 1 : n);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+// GCC pairs operator new with its builtin delete when it inlines these and
+// would flag the free() below as a mismatch; the pairs here are consistent.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace adios {
 namespace {
@@ -32,6 +81,44 @@ TEST(Engine, TiesBreakByInsertionOrder) {
   e.Run();
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(trace[i], i);
+  }
+}
+
+// Random times with many ties, events scheduled from inside events, and
+// cancellations: the dispatch order must be (time, insertion order).
+TEST(Engine, HeapOrderMatchesSortedReference) {
+  Engine e;
+  Rng rng(7);
+  struct Fired {
+    SimTime when;
+    int id;
+  };
+  std::vector<Fired> fired;
+  std::vector<std::pair<SimTime, int>> expected;  // Sorted later; ids rise.
+  int next_id = 0;
+  auto schedule = [&](SimDuration delay) {
+    const int id = next_id++;
+    expected.push_back({e.now() + delay, id});
+    e.Schedule(delay, [&fired, &e, id] { fired.push_back({e.now(), id}); });
+  };
+  for (int i = 0; i < 2000; ++i) {
+    schedule(rng.NextBelow(500));
+    Engine::EventHandle h = e.ScheduleCancellable(rng.NextBelow(500), [] { FAIL(); });
+    h.Cancel();
+  }
+  for (int round = 0; round < 4; ++round) {
+    e.RunUntil(e.now() + 100);
+    for (int i = 0; i < 500; ++i) {
+      schedule(rng.NextBelow(300));
+    }
+  }
+  e.Run();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(fired.size(), expected.size());
+  for (size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_EQ(fired[i].when, expected[i].first) << i;
+    ASSERT_EQ(fired[i].id, expected[i].second) << i;
   }
 }
 
@@ -272,6 +359,273 @@ TEST(Engine, DeterministicAcrossRuns) {
     return hash;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Inline time advance: where it must not apply ---
+
+TEST(InlineAdvance, QueuedEventAtSameTimeRunsFirst) {
+  Engine e;
+  std::vector<std::string> trace;
+  e.SpawnFiber("f", [&] {
+    e.Schedule(10, [&] { trace.push_back("cb@" + std::to_string(e.now())); });
+    e.Wait(10);  // The callback is queued at the wake time with a smaller seq.
+    trace.push_back("f@" + std::to_string(e.now()));
+  });
+  e.Run();
+  EXPECT_EQ(trace, (std::vector<std::string>{"cb@10", "f@10"}));
+}
+
+TEST(InlineAdvance, WakePastHorizonStaysQueued) {
+  Engine e;
+  std::vector<SimTime> stamps;
+  e.SpawnFiber("f", [&] {
+    e.Wait(100);
+    stamps.push_back(e.now());
+  });
+  e.RunUntil(50);
+  EXPECT_TRUE(stamps.empty());
+  EXPECT_EQ(e.now(), 50u);
+  EXPECT_EQ(e.events_processed(), 1u);  // The spawn only.
+  e.RunUntil(100);  // A wake exactly at the horizon is processed.
+  EXPECT_EQ(stamps, (std::vector<SimTime>{100}));
+  EXPECT_EQ(e.events_processed(), 2u);
+}
+
+TEST(InlineAdvance, NotAfterStop) {
+  Engine e;
+  std::vector<SimTime> stamps;
+  e.SpawnFiber("f", [&] {
+    e.Stop();
+    e.Wait(5);  // Queue empty, but the run was stopped: must suspend.
+    stamps.push_back(e.now());
+  });
+  e.Run();
+  EXPECT_TRUE(stamps.empty());
+  EXPECT_EQ(e.now(), 0u);
+  e.Run();
+  EXPECT_EQ(stamps, (std::vector<SimTime>{5}));
+}
+
+// A mixed fiber/callback schedule against a hand-computed trace. Events:
+// spawn(0), A(5), f-wake(10), inline(11), B(12), f-wake(12), inline(12) = 7.
+TEST(InlineAdvance, MixedScheduleMatchesHandTrace) {
+  Engine e;
+  std::vector<std::string> trace;
+  auto mark = [&](const char* who) { trace.push_back(who + std::to_string(e.now())); };
+  e.Schedule(5, [&] {
+    mark("A@");
+    e.Schedule(7, [&] { mark("B@"); });
+  });
+  e.SpawnFiber("f", [&] {
+    mark("f@");
+    e.Wait(10);  // A at 5 is earlier: queued.
+    mark("f@");
+    e.Wait(1);  // B at 12 is strictly later: inline.
+    mark("f@");
+    e.Wait(1);  // B at 12 ties the wake: queued, B first.
+    mark("f@");
+    e.Wait(0);  // Queue empty: inline.
+    mark("f@");
+  });
+  e.Run();
+  EXPECT_EQ(trace, (std::vector<std::string>{"f@0", "A@5", "f@10", "f@11", "B@12", "f@12",
+                                             "f@12"}));
+  EXPECT_EQ(e.events_processed(), 7u);
+  EXPECT_EQ(e.now(), 12u);
+}
+
+// --- Cancellation slots ---
+
+TEST(EventHandleTest, PendingFollowsCancelAndFire) {
+  Engine e;
+  Engine::EventHandle none;
+  EXPECT_FALSE(none.pending());
+  none.Cancel();  // No-op on an empty handle.
+  auto fires = e.ScheduleCancellable(10, [] {});
+  auto cancelled = e.ScheduleCancellable(20, [] {});
+  const Engine::EventHandle copy = cancelled;
+  EXPECT_TRUE(fires.pending());
+  EXPECT_TRUE(copy.pending());
+  cancelled.Cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_FALSE(copy.pending());  // Copies name the same event.
+  e.RunUntil(15);
+  EXPECT_FALSE(fires.pending());
+  e.Run();
+  EXPECT_EQ(e.events_processed(), 1u);  // Cancelled events are not counted.
+  EXPECT_EQ(e.now(), 20u);  // A cancelled entry still moves the clock when popped.
+}
+
+TEST(EventHandleTest, CancelAfterFireIsNoOp) {
+  Engine e;
+  int fired = 0;
+  auto h = e.ScheduleCancellable(10, [&] { ++fired; });
+  e.Run();
+  EXPECT_EQ(fired, 1);
+  h.Cancel();
+  h.Cancel();
+  EXPECT_FALSE(h.pending());
+  // The freed slot is reused by the next event; the stale handle must not
+  // reach it.
+  auto next = e.ScheduleCancellable(10, [&] { fired += 10; });
+  h.Cancel();
+  EXPECT_TRUE(next.pending());
+  e.Run();
+  EXPECT_EQ(fired, 11);
+}
+
+TEST(EventHandleTest, StaleHandleAfterCancelDoesNotCancelReuse) {
+  Engine e;
+  int fired = 0;
+  auto old = e.ScheduleCancellable(10, [&] { fired += 1; });
+  old.Cancel();
+  auto reused = e.ScheduleCancellable(10, [&] { fired += 2; });
+  old.Cancel();
+  EXPECT_FALSE(old.pending());
+  EXPECT_TRUE(reused.pending());
+  e.Run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventHandleTest, CancelInsideOwnCallbackIsNoOp) {
+  Engine e;
+  Engine::EventHandle h;
+  bool pending_inside = true;
+  h = e.ScheduleCancellable(5, [&] {
+    pending_inside = h.pending();
+    h.Cancel();
+  });
+  e.Run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(e.events_processed(), 1u);
+}
+
+// --- InlineFn ---
+
+struct Counted {
+  static inline int live = 0;
+  static inline int destroyed = 0;
+  Counted() { ++live; }
+  Counted(const Counted&) { ++live; }
+  Counted(Counted&&) noexcept { ++live; }
+  ~Counted() {
+    --live;
+    ++destroyed;
+  }
+};
+
+TEST(InlineFnTest, SmallClosureStoredInlineWithoutAllocation) {
+  int calls = 0;
+  std::array<uint64_t, 6> pad{};  // 48 bytes + a pointer = 56: the limit.
+  auto fn = [&calls, pad] { calls += 1 + static_cast<int>(pad[0]); };
+  static_assert(InlineFn::kStoredInline<decltype(fn)>);
+  const uint64_t before = g_allocations;
+  InlineFn f(fn);
+  InlineFn g(std::move(f));
+  EXPECT_FALSE(static_cast<bool>(f));
+  g();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(g_allocations - before, 0u);
+}
+
+TEST(InlineFnTest, LargeClosureFallsBackToOneAllocation) {
+  int calls = 0;
+  std::array<uint64_t, 8> pad{};  // 64 bytes: above the inline buffer.
+  pad[7] = 2;
+  auto fn = [&calls, pad] { calls += static_cast<int>(pad[7]); };
+  static_assert(!InlineFn::kStoredInline<decltype(fn)>);
+  const uint64_t before = g_allocations;
+  InlineFn f(fn);
+  InlineFn g;
+  g = std::move(f);  // Moves the pointer, not the closure.
+  g();
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(g_allocations - before, 1u);
+}
+
+TEST(InlineFnTest, MoveOnlyCaptures) {
+  auto p = std::make_unique<int>(41);
+  int seen = 0;
+  InlineFn f([&seen, p = std::move(p)] { seen = ++*p; });
+  InlineFn g(std::move(f));
+  g();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(InlineFnTest, DestroysEachCaptureExactlyOnce) {
+  Counted::live = 0;
+  Counted::destroyed = 0;
+  {
+    Counted c;
+    InlineFn small([c] {});
+    std::array<uint64_t, 8> pad{};
+    InlineFn big([c, pad] {});
+    InlineFn moved_small(std::move(small));
+    InlineFn moved_big(std::move(big));
+    moved_small();
+    moved_big();
+    InlineFn reassigned([c] {});
+    reassigned = std::move(moved_small);  // Destroys the overwritten capture.
+    EXPECT_EQ(Counted::live, 3);  // c, one small closure, one big closure.
+    moved_big.Reset();
+    EXPECT_EQ(Counted::live, 2);
+  }
+  EXPECT_EQ(Counted::live, 0);
+}
+
+TEST(InlineFnTest, EngineDestroysUnfiredAndCancelledCallbacks) {
+  Counted::live = 0;
+  {
+    Engine e;
+    Counted c;
+    e.Schedule(10, [c] {});
+    auto h = e.ScheduleCancellable(10, [c] {});
+    EXPECT_EQ(Counted::live, 3);
+    h.Cancel();  // The capture is released at once, not when the entry pops.
+    EXPECT_EQ(Counted::live, 2);
+  }
+  EXPECT_EQ(Counted::live, 0);
+}
+
+// --- Allocation-free steady state ---
+
+// A self-rescheduling timer that competes with the fiber's wake-ups.
+struct Ticker {
+  Engine* e;
+  uint64_t* ticks;
+  void operator()() const {
+    ++*ticks;
+    e->Schedule(25, *this);
+  }
+};
+
+TEST(EngineAlloc, SteadyStateMakesNoAllocations) {
+  Engine e;
+  CpuCore core(&e, CycleClock(2000), "c");
+  FairLink link(&e, "link", /*gbps=*/100.0, /*fixed_ns=*/20);
+  const uint32_t flow = link.AddFlow();
+  uint64_t ticks = 0;
+  uint64_t delivered = 0;
+  e.Schedule(0, Ticker{&e, &ticks});
+  e.SpawnFiber("poller", [&] {
+    std::array<uint64_t, 5> payload = {1, 2, 3, 4, 5};
+    for (;;) {
+      core.Consume(100);  // 50 ns: some waits go inline, some queue.
+      // A 48-byte completion closure, served in 25 ns: the link keeps up.
+      link.Enqueue(flow, 64, [&delivered, payload] { delivered += payload[0]; });
+      Engine::EventHandle deadline = e.ScheduleCancellable(1000, [] {});
+      deadline.Cancel();
+    }
+  });
+  e.RunUntil(Microseconds(100));  // Warm-up: heap, slots and rings reach size.
+  const uint64_t allocs0 = g_allocations;
+  const uint64_t events0 = e.events_processed();
+  const uint64_t delivered0 = delivered;
+  e.RunUntil(Milliseconds(1));
+  EXPECT_GT(e.events_processed() - events0, 50000u);
+  EXPECT_GT(delivered - delivered0, 10000u);
+  EXPECT_GT(ticks, 10000u);
+  EXPECT_EQ(g_allocations - allocs0, 0u);
 }
 
 }  // namespace

@@ -27,6 +27,31 @@ TEST(WorkerFlow, RemoteRequestRdmaWaitMatchesFetchLatency) {
   EXPECT_GT(n_faulting, 50u);
 }
 
+// A fetch deadline that fires while the worker verifies that fetch's
+// completion (the verify's Consume suspends the worker) fails the fetch and
+// erases its pending entry. DrainMemCq must re-find the entry after the
+// verify and drop the completion as late; holding the old iterator across
+// the verify reads a freed map node (the AddressSanitizer leg reports it).
+TEST(WorkerFlow, DeadlineInsideVerifyDropsCompletion) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.retry.enabled = true;
+  cfg.retry.max_retries = 0;  // The first deadline exhausts the budget.
+  cfg.retry.timeout_ns = 8000;
+  cfg.integrity.verify = true;
+  cfg.integrity.verify_cycles = 40000;  // 20 us: spans every deadline.
+  ArrayApp::Options ao;
+  ao.entries = 1 << 15;
+  ArrayApp app(ao);
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(20000, Milliseconds(1), Milliseconds(2));
+  EXPECT_GT(r.fetch_timeouts, 0u);
+  EXPECT_GT(r.requests_failed, 0u);
+  EXPECT_EQ(r.completed, r.sent - r.dropped);
+  for (const auto& w : sys.workers()) {
+    EXPECT_EQ(w->OutstandingFaults(), 0u);
+  }
+}
+
 TEST(WorkerFlow, LocalRequestsHaveNoRdmaComponent) {
   ArrayApp::Options ao;
   ao.entries = 1 << 15;
