@@ -6,7 +6,9 @@
 
 #include <array>
 
+#include "src/apps/array_app.h"
 #include "src/base/histogram.h"
+#include "src/core/md_system.h"
 #include "src/base/rng.h"
 #include "src/mem/memory_manager.h"
 #include "src/rdma/fabric.h"
@@ -102,6 +104,31 @@ void BM_UnithreadPoolAcquireRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnithreadPoolAcquireRelease);
+
+// Host set-up cost per layer: the default preset's unithread pool (8,192
+// buffers reserved, one handed out), and a whole Adios system over a small
+// array (pool, region, paging, fabric, workers) including its teardown.
+void BM_UnithreadPoolBuild(benchmark::State& state) {
+  const UnithreadPool::Options opts = SystemConfig::DefaultPool();
+  for (auto _ : state) {
+    UnithreadPool pool(opts);
+    UnithreadBuffer b = pool.Acquire();
+    benchmark::DoNotOptimize(b.context());
+    pool.Release(b);
+  }
+}
+BENCHMARK(BM_UnithreadPoolBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_MdSystemBuild(benchmark::State& state) {
+  ArrayApp::Options ao;
+  ao.entries = 1 << 15;
+  for (auto _ : state) {
+    ArrayApp app(ao);
+    MdSystem sys(SystemConfig::Adios(), &app);
+    benchmark::DoNotOptimize(&sys);
+  }
+}
+BENCHMARK(BM_MdSystemBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_EngineScheduleDispatch(benchmark::State& state) {
   for (auto _ : state) {

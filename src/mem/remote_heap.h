@@ -3,6 +3,9 @@
 // The memory node's DRAM is modeled as a host-resident byte array
 // (RemoteRegion): application data structures genuinely live there and are
 // genuinely read back during request handling, so access patterns are real.
+// Its host pages are faulted in on first touch (src/base/zero_pages.h), so a
+// large, sparsely built region costs only what the app writes; bytes never
+// written read as zero.
 // Whether a page is cached in the compute node's local DRAM is tracked
 // separately by the PageTable — residency affects *timing*, never data.
 //
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/zero_pages.h"
 
 namespace adios {
 
@@ -35,6 +39,10 @@ class RemoteRegion {
   explicit RemoteRegion(size_t bytes) : data_(bytes) {
     ADIOS_CHECK(bytes % kPageSize == 0);
   }
+
+  // Non-copyable: components hold pointers into the one ground-truth array.
+  RemoteRegion(const RemoteRegion&) = delete;
+  RemoteRegion& operator=(const RemoteRegion&) = delete;
 
   std::byte* data() { return data_.data(); }
   const std::byte* data() const { return data_.data(); }
@@ -69,7 +77,7 @@ class RemoteRegion {
   }
 
  private:
-  std::vector<std::byte> data_;
+  ZeroPages data_;
 };
 
 class RemoteHeap {

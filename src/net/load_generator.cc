@@ -74,7 +74,14 @@ void LoadGenerator::ScheduleNextArrival() {
 }
 
 void LoadGenerator::EmitRequest() {
-  auto* req = new Request();
+  Request* req;
+  if (free_requests_.empty()) {
+    req = &requests_.emplace_back();
+  } else {
+    req = free_requests_.back();
+    free_requests_.pop_back();
+    *req = Request();
+  }
   req->id = next_id_++;
   if (options_.num_tenants > 1) {
     // Round-robin stamping only — no extra rng draw, so multi-tenant runs
@@ -105,7 +112,7 @@ void LoadGenerator::OnReply(Request* req) {
       // sample (it is dominated by the retry window), and its payload is
       // garbage — exclude it from the histograms and skip verification.
       ++measured_failed_;
-      delete req;
+      Recycle(req);
       return;
     }
     e2e_all_.Add(req->E2eNs());
@@ -137,12 +144,12 @@ void LoadGenerator::OnReply(Request* req) {
       ADIOS_CHECK(app_->Verify(*req));
     }
   }
-  delete req;
+  Recycle(req);
 }
 
 void LoadGenerator::OnDrop(Request* req) {
   ++dropped_;
-  delete req;
+  Recycle(req);
 }
 
 double LoadGenerator::ThroughputRps() const {

@@ -10,6 +10,7 @@
 #define ADIOS_SRC_NET_LOAD_GENERATOR_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -64,7 +65,7 @@ class LoadGenerator {
   void RegisterMetrics(MetricRegistry* registry);
 
   // Reply delivered back at the generator (wired as the send's delivery
-  // callback). Records stats and frees the request.
+  // callback). Records stats and recycles the request.
   void OnReply(Request* req);
   // Request dropped at the compute node's RX ring.
   void OnDrop(Request* req);
@@ -94,6 +95,7 @@ class LoadGenerator {
  private:
   void ScheduleNextArrival();
   void EmitRequest();
+  void Recycle(Request* req) { free_requests_.push_back(req); }
   // Schedule multiplier in effect at `now` (1.0 with an empty schedule).
   double RateMultiplierAt(SimTime now) const;
 
@@ -114,6 +116,13 @@ class LoadGenerator {
   uint64_t measured_completed_ = 0;
   uint64_t measured_failed_ = 0;
   SimTime last_measured_reply_ = 0;
+
+  // The generator owns every request it emits: storage is recycled through
+  // free_requests_ once a request is replied to or dropped, and destroying
+  // the generator frees those still in flight (a run that ends wedged, or a
+  // system torn down mid-run).
+  std::deque<Request> requests_;
+  std::vector<Request*> free_requests_;
 
   Histogram e2e_all_;
   std::vector<Histogram> e2e_per_op_;

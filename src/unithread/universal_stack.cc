@@ -2,7 +2,8 @@
 
 namespace adios {
 
-UnithreadPool::UnithreadPool(const Options& options) : options_(options) {
+UnithreadPool::UnithreadPool(const Options& options)
+    : options_(options), arena_(options.count * options.buffer_size) {
   ADIOS_CHECK(options_.count > 0);
   ADIOS_CHECK_EQ(options_.mtu % alignof(UnithreadContext), 0u);
   // 16-aligned buffers keep every embedded stack 16-aligned at allocation
@@ -11,19 +12,12 @@ UnithreadPool::UnithreadPool(const Options& options) : options_(options) {
   ADIOS_CHECK_GT(options_.buffer_size,
                  options_.mtu + sizeof(UnithreadContext) + kStackCanaryBytes + 512);
 
-  arena_.resize(options_.count * options_.buffer_size);
   free_.reserve(options_.count);
   // LIFO free list: most-recently-released buffer is reused first, which
-  // keeps the hot set of stacks small and cache-friendly.
+  // keeps the hot set of stacks small and cache-friendly — and, with index 0
+  // on top, keeps the buffers ever handed out a prefix of the arena.
   for (size_t i = options_.count; i > 0; --i) {
     free_.push_back(static_cast<uint32_t>(i - 1));
-  }
-  for (size_t i = 0; i < options_.count; ++i) {
-    UnithreadBuffer buf = FromIndex(static_cast<uint32_t>(i));
-    WriteStackCanary(buf.canary(), kStackCanaryBytes);
-    if (options_.paint_stacks) {
-      PaintStack(buf.stack_low(), buf.stack_size());
-    }
   }
 }
 
@@ -33,8 +27,16 @@ UnithreadBuffer UnithreadPool::Acquire() {
   }
   const uint32_t idx = free_.back();
   free_.pop_back();
-  std::byte* base = arena_.data() + static_cast<size_t>(idx) * options_.buffer_size;
-  UnithreadBuffer buf(base, options_.buffer_size, options_.mtu);
+  UnithreadBuffer buf = FromIndex(idx);
+  if (idx == handed_out_) {
+    // First hand-out: the buffer's pages are still untouched zero pages.
+    ++handed_out_;
+    WriteStackCanary(buf.canary(), kStackCanaryBytes);
+    if (options_.paint_stacks) {
+      PaintStack(buf.stack_low(), buf.stack_size());
+    }
+  }
+  ADIOS_DCHECK(idx < handed_out_);
   buf.context()->id = idx;
   return buf;
 }
@@ -45,14 +47,14 @@ void UnithreadPool::Release(UnithreadBuffer buffer) {
   const ptrdiff_t offset = base - arena_.data();
   ADIOS_CHECK(offset >= 0);
   ADIOS_CHECK_EQ(static_cast<size_t>(offset) % options_.buffer_size, 0u);
-  const uint32_t idx = static_cast<uint32_t>(static_cast<size_t>(offset) / options_.buffer_size);
-  ADIOS_CHECK_LT(idx, options_.count);
+  const size_t idx = static_cast<size_t>(offset) / options_.buffer_size;
+  ADIOS_CHECK_LT(idx, handed_out_);
   ADIOS_DCHECK(free_.size() < options_.count);
   // A trampled canary means this unithread overflowed its universal stack at
   // some point during its life; catch it at retirement, with the buffer
   // index in hand, rather than letting the corruption spread on reuse.
   ADIOS_CHECK(StackCanaryIntact(buffer.canary(), kStackCanaryBytes));
-  free_.push_back(idx);
+  free_.push_back(static_cast<uint32_t>(idx));
 }
 
 UnithreadPool::AuditResult UnithreadPool::Audit() const {
@@ -66,9 +68,12 @@ UnithreadPool::AuditResult UnithreadPool::Audit() const {
     }
     seen[idx] = true;
   }
-  auto* self = const_cast<UnithreadPool*>(this);
-  for (size_t i = 0; i < options_.count; ++i) {
-    UnithreadBuffer buf = self->FromIndex(static_cast<uint32_t>(i));
+  // A never-handed-out buffer has no canary yet, so it must still be free.
+  for (size_t i = handed_out_; i < options_.count && result.free_list_ok; ++i) {
+    result.free_list_ok = seen[i];
+  }
+  for (size_t i = 0; i < handed_out_; ++i) {
+    UnithreadBuffer buf = FromIndex(static_cast<uint32_t>(i));
     ++result.buffers_checked;
     if (!StackCanaryIntact(buf.canary(), kStackCanaryBytes)) {
       ++result.canary_violations;

@@ -12,9 +12,11 @@
 // The networking stack writes the request payload at the head of the buffer;
 // the context struct follows at the MTU boundary; the remaining space is the
 // unithread's *universal stack*, shared by application and kernel code (no
-// separate exception stack). The pool pre-allocates a fixed number of
-// buffers so request handling never allocates. Release() verifies the
-// canary; Audit() sweeps every buffer (invariant checker).
+// separate exception stack). The pool reserves a fixed number of buffers up
+// front so request handling never allocates; the host pages behind them are
+// faulted in on first use (src/base/zero_pages.h), so a pool costs only the
+// buffers it has handed out. Release() verifies the canary; Audit() sweeps
+// every buffer ever handed out (invariant checker).
 
 #ifndef ADIOS_SRC_UNITHREAD_UNIVERSAL_STACK_H_
 #define ADIOS_SRC_UNITHREAD_UNIVERSAL_STACK_H_
@@ -25,6 +27,7 @@
 
 #include "src/base/annotations.h"
 #include "src/base/check.h"
+#include "src/base/zero_pages.h"
 #include "src/check/stack_guard.h"
 #include "src/unithread/context.h"
 
@@ -79,15 +82,21 @@ class UnithreadBuffer {
 // Pre-allocated pool of unithread buffers (the paper configures 131,072).
 // Acquire/Release are O(1); Acquire fails (returns invalid buffer) when the
 // pool is exhausted, which the scheduler treats as back-pressure.
+//
+// The free list is LIFO and starts with index 0 on top, so the buffers ever
+// handed out always form a prefix [0, handed_out) of the arena. A buffer's
+// canary (and paint) is written when it first joins that prefix; the rest of
+// the arena stays untouched, unfaulted host memory.
 class UnithreadPool {
  public:
   struct Options {
-    size_t count = 1024;         // Number of pre-allocated unithreads.
+    size_t count = 1024;         // Unithreads reserved; host pages fault in on first use.
     size_t buffer_size = 16384;  // Total buffer bytes per unithread, 16-aligned.
     size_t mtu = 1536;           // Payload area (network MTU), 16-aligned.
-    // Paint stacks at construction for high-water-mark recovery in Audit().
-    // Off by default: painting is cheap, but the HWM scan touches every
-    // stack byte on each audit.
+    // Paint each stack the first time its buffer is handed out, for
+    // high-water-mark recovery in Audit(). Off by default: painting faults
+    // in the whole stack, and the HWM scan touches every stack byte of the
+    // handed-out buffers on each audit.
     bool paint_stacks = false;
   };
 
@@ -103,7 +112,7 @@ class UnithreadPool {
 
   // Reconstructs the buffer for a pool index (contexts carry their index in
   // `id`, so completion wr_ids can name buffers).
-  UnithreadBuffer FromIndex(uint32_t idx) {
+  UnithreadBuffer FromIndex(uint32_t idx) const {
     ADIOS_CHECK(idx < options_.count);
     return UnithreadBuffer(arena_.data() + static_cast<size_t>(idx) * options_.buffer_size,
                            options_.buffer_size, options_.mtu);
@@ -113,13 +122,15 @@ class UnithreadPool {
   size_t available() const { return free_.size(); }
   size_t in_use() const { return options_.count - free_.size(); }
 
-  // Total memory footprint of the pool in bytes.
+  // Reserved memory of the pool in bytes (only handed-out buffers are
+  // backed by host pages).
   size_t MemoryFootprint() const { return options_.count * options_.buffer_size; }
 
-  // Sweeps every buffer's canary and (when painted) high-water mark, and
-  // cross-checks the free list for duplicates/out-of-range indices.
+  // Sweeps the canary and (when painted) high-water mark of every buffer
+  // ever handed out, and cross-checks the free list: every index in range,
+  // no duplicates, and every never-handed-out index still free.
   struct AuditResult {
-    size_t buffers_checked = 0;
+    size_t buffers_checked = 0;  // The handed-out prefix.
     size_t canary_violations = 0;
     bool free_list_ok = true;
     size_t max_high_water = 0;  // 0 unless Options::paint_stacks.
@@ -128,8 +139,9 @@ class UnithreadPool {
 
  private:
   Options options_;
-  std::vector<std::byte> arena_;
+  ZeroPages arena_;
   std::vector<uint32_t> free_;  // Stack of free buffer indices.
+  size_t handed_out_ = 0;       // Buffers [0, handed_out_) have been handed out.
 };
 
 }  // namespace adios

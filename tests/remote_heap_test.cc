@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace adios {
 namespace {
 
@@ -35,6 +37,20 @@ TEST(RemoteRegion, PageArithmetic) {
   EXPECT_EQ(PageStart(3), 3u * 4096);
   RemoteRegion region(8 * kPageSize);
   EXPECT_EQ(region.num_pages(), 8u);
+}
+
+TEST(RemoteRegion, BytesNeverWrittenReadAsZero) {
+  RemoteRegion region(256 * kPageSize);
+  region.WriteObject<uint64_t>(3 * kPageSize + 8, 0x0123456789abcdefull);
+  EXPECT_EQ(region.ReadObject<uint64_t>(3 * kPageSize + 8), 0x0123456789abcdefull);
+  EXPECT_EQ(region.ReadObject<uint64_t>(3 * kPageSize), 0u);  // Same page, unwritten.
+  EXPECT_EQ(region.ReadObject<uint64_t>(0), 0u);
+  EXPECT_EQ(region.ReadObject<uint64_t>(region.size() - 8), 0u);
+  std::vector<std::byte> page(kPageSize, std::byte{0xFF});
+  region.ReadBytes(200 * kPageSize, page.data(), page.size());
+  for (std::byte b : page) {
+    ASSERT_EQ(b, std::byte{0});
+  }
 }
 
 TEST(RemoteHeap, BumpAllocationAligned) {

@@ -4,6 +4,9 @@
 
 #include "src/unithread/universal_stack.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -131,7 +134,7 @@ TEST(UniversalStack, OverflowFromRunningCodeTripsCanary) {
 
   EXPECT_FALSE(StackCanaryIntact(buf.canary()));
   UnithreadPool::AuditResult audit = pool.Audit();
-  EXPECT_EQ(audit.buffers_checked, opts.count);
+  EXPECT_EQ(audit.buffers_checked, 1u);  // Only the one buffer handed out.
   EXPECT_EQ(audit.canary_violations, 1u);
   EXPECT_TRUE(audit.free_list_ok);
 
@@ -210,6 +213,151 @@ TEST(UniversalStack, AuditRecoversHighWaterMarkFromPaintedStacks) {
   EXPECT_GE(audit.max_high_water, 3000u);
   EXPECT_LE(audit.max_high_water, buf.stack_size());
   EXPECT_EQ(audit.canary_violations, 0u);
+  pool.Release(buf);
+}
+
+TEST(UniversalStack, PaintOnFirstHandOutKeepsLifetimeHighWaterMark) {
+  UnithreadPool::Options opts;
+  opts.count = 4;
+  opts.buffer_size = 16384;
+  opts.mtu = 1536;
+  opts.paint_stacks = true;
+  UnithreadPool pool(opts);
+
+  UnithreadBuffer buf = pool.Acquire();
+  UnithreadContext parent;
+  int result = 0;
+  buf.ResetContext(&EntryBurnsStack, &result, &parent);
+  AdiosContextSwitch(&parent, buf.context());
+  pool.Release(buf);
+
+  // LIFO hands the same buffer back; it is not repainted, so the mark its
+  // earlier run left survives. The second buffer is painted fresh.
+  UnithreadBuffer again = pool.Acquire();
+  EXPECT_EQ(again.payload(), buf.payload());
+  UnithreadBuffer fresh = pool.Acquire();
+  EXPECT_EQ(StackHighWaterMark(fresh.stack_low(), fresh.stack_size()), 0u);
+  UnithreadPool::AuditResult audit = pool.Audit();
+  EXPECT_EQ(audit.buffers_checked, 2u);
+  EXPECT_GE(audit.max_high_water, 3000u);
+  EXPECT_EQ(audit.canary_violations, 0u);
+  pool.Release(fresh);
+  pool.Release(again);
+}
+
+TEST(UniversalStack, AuditCoversHandedOutPrefix) {
+  UnithreadPool::Options opts;
+  opts.count = 8;
+  opts.buffer_size = 8192;
+  opts.mtu = 1536;
+  UnithreadPool pool(opts);
+  EXPECT_EQ(pool.Audit().buffers_checked, 0u);
+  EXPECT_TRUE(pool.Audit().free_list_ok);
+
+  UnithreadBuffer a = pool.Acquire();
+  UnithreadBuffer b = pool.Acquire();
+  UnithreadBuffer c = pool.Acquire();
+  pool.Release(b);
+  UnithreadPool::AuditResult audit = pool.Audit();
+  EXPECT_EQ(audit.buffers_checked, 3u);  // Released buffers stay in the prefix.
+  EXPECT_EQ(audit.canary_violations, 0u);
+  EXPECT_TRUE(audit.free_list_ok);
+
+  // A stale writer tramples the canary of a buffer already back in the pool.
+  b.canary()[0] = std::byte{0xCC};
+  audit = pool.Audit();
+  EXPECT_EQ(audit.buffers_checked, 3u);
+  EXPECT_EQ(audit.canary_violations, 1u);
+  WriteStackCanary(b.canary());
+
+  // A double release (possible while `a` is still out) leaves a duplicate
+  // on the free list.
+  pool.Release(c);
+  pool.Release(c);
+  EXPECT_FALSE(pool.Audit().free_list_ok);
+  EXPECT_TRUE(a.valid());
+}
+
+// --- Demand paging of the arena ---
+
+// Resident host pages of [addr, addr + len), per mincore(2).
+std::vector<bool> ResidentPages(const std::byte* addr, size_t len) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((len + page - 1) / page);
+  EXPECT_EQ(mincore(const_cast<std::byte*>(addr), len, vec.data()), 0);
+  std::vector<bool> resident(vec.size());
+  for (size_t i = 0; i < vec.size(); ++i) {
+    resident[i] = (vec[i] & 1) != 0;
+  }
+  return resident;
+}
+
+size_t CountResident(const std::vector<bool>& pages) {
+  size_t n = 0;
+  for (bool r : pages) {
+    n += r ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(UnithreadPoolPaging, ConstructionFaultsInNoArenaPages) {
+  UnithreadPool::Options opts;
+  opts.count = 8192;
+  opts.buffer_size = 32 * 1024;
+  opts.mtu = 1536;
+  UnithreadPool pool(opts);
+  const std::byte* arena = pool.FromIndex(0).payload();
+  EXPECT_EQ(CountResident(ResidentPages(arena, pool.MemoryFootprint())), 0u);
+}
+
+TEST(UnithreadPoolPaging, AcquireFaultsInOnlyHandedOutBuffers) {
+  UnithreadPool::Options opts;
+  opts.count = 8192;
+  opts.buffer_size = 32 * 1024;
+  opts.mtu = 1536;
+  UnithreadPool pool(opts);
+  const std::byte* arena = pool.FromIndex(0).payload();
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t pages_per_buffer = opts.buffer_size / page;
+
+  constexpr size_t kHandedOut = 5;
+  std::vector<UnithreadBuffer> bufs;
+  for (size_t i = 0; i < kHandedOut; ++i) {
+    bufs.push_back(pool.Acquire());
+  }
+  // Hand-out writes the context id and the canary, both on a buffer's first
+  // page (mtu + context + canary < one page); nothing else is touched.
+  std::vector<bool> resident = ResidentPages(arena, pool.MemoryFootprint());
+  EXPECT_EQ(CountResident(resident), kHandedOut);
+  for (size_t i = 0; i < kHandedOut; ++i) {
+    EXPECT_TRUE(resident[i * pages_per_buffer]) << "buffer " << i;
+  }
+
+  // Recycling through the LIFO free list reuses them and touches no other.
+  for (UnithreadBuffer& b : bufs) {
+    pool.Release(b);
+  }
+  for (int round = 0; round < 100; ++round) {
+    UnithreadBuffer b = pool.Acquire();
+    pool.Release(b);
+  }
+  EXPECT_EQ(CountResident(ResidentPages(arena, pool.MemoryFootprint())), kHandedOut);
+  EXPECT_EQ(pool.Audit().buffers_checked, kHandedOut);
+}
+
+TEST(UnithreadPoolPaging, PaintedHandOutFaultsInWholeBuffer) {
+  UnithreadPool::Options opts;
+  opts.count = 64;
+  opts.buffer_size = 32 * 1024;
+  opts.mtu = 1536;
+  opts.paint_stacks = true;
+  UnithreadPool pool(opts);
+  const std::byte* arena = pool.FromIndex(0).payload();
+  EXPECT_EQ(CountResident(ResidentPages(arena, pool.MemoryFootprint())), 0u);
+  UnithreadBuffer buf = pool.Acquire();
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(CountResident(ResidentPages(arena, pool.MemoryFootprint())),
+            opts.buffer_size / page);
   pool.Release(buf);
 }
 
