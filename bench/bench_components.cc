@@ -5,11 +5,14 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
 #include "src/apps/array_app.h"
 #include "src/base/histogram.h"
 #include "src/core/md_system.h"
 #include "src/base/rng.h"
+#include "src/integrity/page_checksum.h"
 #include "src/mem/memory_manager.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/fair_link.h"
@@ -168,7 +171,9 @@ void BM_EngineConsumeInline(benchmark::State& state) {
 BENCHMARK(BM_EngineConsumeInline);
 
 // A timer due at the same instant as each of the fiber's wake-ups, queued
-// earlier: every Consume takes the queued path (push, pop, two switches).
+// earlier: every Consume takes the queued path (push, pop), and the blocked
+// fiber runs the timer in place and then pops its own wake-up, so no
+// context switch happens.
 struct CompetingTimer {
   Engine* e;
   void operator()() const { e->Schedule(50, *this); }
@@ -192,6 +197,33 @@ void BM_EngineConsumeQueued(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEngineBatch);
 }
 BENCHMARK(BM_EngineConsumeQueued);
+
+// Two fibers whose Consumes interleave: each wake-up queues behind the other
+// fiber's, so every Consume is one push, one pop and one direct
+// fiber-to-fiber switch (no round trip through the main context).
+void BM_EngineFiberPingPong(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    Engine e;
+    CpuCore core_a(&e, CycleClock(2000), "a");
+    CpuCore core_b(&e, CycleClock(2000), "b");
+    e.SpawnFiber("a", [&core_a] {
+      for (int i = 0; i < kEngineBatch / 2; ++i) {
+        core_a.Consume(100);  // 50 ns.
+      }
+    });
+    e.SpawnFiber("b", [&e, &core_b] {
+      e.Wait(25);  // Half a period out of phase with "a".
+      for (int i = 0; i < kEngineBatch / 2; ++i) {
+        core_b.Consume(100);
+      }
+    });
+    state.ResumeTiming();
+    e.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * kEngineBatch);
+}
+BENCHMARK(BM_EngineFiberPingPong);
 
 void BM_EngineCancellableChurn(benchmark::State& state) {
   // Schedule a deadline and cancel it, as every settled fetch does; the run
@@ -227,6 +259,21 @@ void BM_FairLinkEnqueueServe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEngineBatch);
 }
 BENCHMARK(BM_FairLinkEnqueueServe);
+
+// One 4 KiB page digest, as integrity priming and every verified fetch
+// compute it.
+void BM_PageChecksum4K(benchmark::State& state) {
+  std::vector<uint8_t> page(4096);
+  Rng rng(1);
+  for (uint8_t& b : page) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PageChecksum(page.data(), page.size(), 41));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageChecksum4K);
 
 void BM_PageTableFaultCycle(benchmark::State& state) {
   Engine e;

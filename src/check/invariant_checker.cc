@@ -231,7 +231,14 @@ void InvariantChecker::AuditTraceOrdering() {
   }
 }
 
-void InvariantChecker::AuditTraceTermination() {
+void InvariantChecker::AuditTermination() {
+  if (options_.audit_frames && deps_.mm != nullptr && deps_.mm->frame_waiter_count() > 0 &&
+      deps_.mm->HasFreeFrame()) {
+    std::ostringstream os;
+    os << deps_.mm->frame_waiter_count() << " frame waiters parked with "
+       << deps_.mm->free_frames() << " frames free after the drain";
+    Violation("stranded frame waiters", os.str());
+  }
   if (deps_.tracer == nullptr || !deps_.tracer->enabled() || !options_.audit_trace) {
     return;
   }

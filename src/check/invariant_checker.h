@@ -93,12 +93,14 @@ class InvariantChecker {
   // ordering audit over records appended since the previous audit).
   void AuditNow();
 
-  // Final trace audit, to be run after the engine drained: every traced
-  // kArrive must have reached exactly one kDone, up to Deps::rx_dropped()
-  // requests dropped at the RX ring. Skipped (with no violation) when the
-  // tracer hit capacity — a truncated stream legitimately misses
-  // terminations.
-  void AuditTraceTermination();
+  // Final audit, to be run after the engine drained:
+  //  * frames (audit_frames): no yield-policy frame waiter is still parked
+  //    while a frame is free — nothing would ever wake it;
+  //  * trace (audit_trace): every traced kArrive must have reached exactly
+  //    one kDone, up to Deps::rx_dropped() requests dropped at the RX ring.
+  //    Skipped (with no violation) when the tracer hit capacity — a
+  //    truncated stream legitimately misses terminations.
+  void AuditTermination();
 
   // Schedules audits every audit_interval_ns of simulated time, stopping at
   // `horizon` so Engine::Run() (which runs until the queue drains) still

@@ -3,8 +3,9 @@
 // The engine keeps a current-context pointer that every scheduling decision
 // reads (Engine::current_context, on_main). The pointer stays correct only
 // if every switch involving an engine-tracked context (the main context or
-// any fiber context) goes through the tracked path: Engine::RawSwitch,
-// Engine::SwitchToMain, or the unithread finish trampoline. A direct
+// any fiber context) goes through the tracked path: Engine::RawSwitch (which
+// the engine's own dispatch and handoff also use) or the unithread finish
+// trampoline. A direct
 // AdiosContextSwitch call on a tracked context desynchronizes the engine —
 // a bug class that otherwise surfaces as impossible scheduling states far
 // from the offending call.

@@ -407,8 +407,9 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
 
   if (checker_ != nullptr) {
     checker_->AuditNow();
-    // Drained state: every traced arrival must have terminated by now.
-    checker_->AuditTraceTermination();
+    // Drained state: every traced arrival must have terminated by now, and
+    // no frame waiter may be parked behind a free frame.
+    checker_->AuditTermination();
     checker_->UnpoisonAll();
   }
 

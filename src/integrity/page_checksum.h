@@ -1,10 +1,14 @@
 // Seeded 64-bit page checksum codec.
 //
-// One splitmix-style mix round per 8-byte word, chained sequentially so the
-// digest is sensitive to both value and position: a single flipped bit, a
-// torn 8-byte word, or two swapped words all change the result. This is a
-// corruption *detector* (like the CRCs storage stacks keep per block), not a
-// cryptographic MAC — the adversary is a bit flip, not an attacker.
+// Four independent lanes, one per word position mod 4, each a chain of
+// multiply-rotate rounds from its own seed offset; the lanes then fold into
+// the digest through a chained splitmix finalizer, and words past the last
+// full group of four (plus a zero-padded partial word) mix in one at a time.
+// Every step is a bijection in the word or state it takes, so a change to any
+// single 8-byte word always changes the digest; the chains keep it
+// order-sensitive, so a torn word or two swapped words change it too. This is
+// a corruption *detector* (like the CRCs storage stacks keep per block), not
+// a cryptographic MAC — the adversary is a bit flip, not an attacker.
 
 #ifndef ADIOS_SRC_INTEGRITY_PAGE_CHECKSUM_H_
 #define ADIOS_SRC_INTEGRITY_PAGE_CHECKSUM_H_

@@ -80,12 +80,16 @@ void MemoryManager::SpillFrameCaches() {
 void MemoryManager::ReleaseFrame() {
   ADIOS_CHECK(used_frames_ > 0);
   --used_frames_;
+  WakeFrameWaiter();
+  frame_waiters_.NotifyOne();
+}
+
+void MemoryManager::WakeFrameWaiter() {
   if (!frame_callbacks_.empty()) {
     auto resume = std::move(frame_callbacks_.front());
     frame_callbacks_.pop_front();
     resume();
   }
-  frame_waiters_.NotifyOne();
 }
 
 void MemoryManager::BeginFetch(uint64_t vpage, bool prefetch, uint16_t owner) {

@@ -203,9 +203,21 @@ class MemoryManager {
   void AddFrameWaiter(std::function<void()> resume) {
     frame_callbacks_.push_back(std::move(resume));
   }
+  size_t frame_waiter_count() const { return frame_callbacks_.size(); }
 
   // Releases one frame (eviction finished) and wakes one frame waiter.
   void ReleaseFrame();
+
+  // Called by a woken frame waiter that leaves without taking a frame (its
+  // page was fetched by another handler meanwhile): hands the wake-up on to
+  // the next waiter while a frame is free. Each release wakes one waiter, so
+  // without this the free frame would sit idle behind parked waiters that
+  // nothing wakes once the reclaimer stops at its high watermark.
+  void PassFrameWake() {
+    if (HasFreeFrame()) {
+      WakeFrameWaiter();
+    }
+  }
 
   // --- Re-silver bounce frames ---
 
@@ -326,6 +338,8 @@ class MemoryManager {
   void NotifyPrefetchOutcome(uint16_t owner, bool hit);
   void EnqueuePrefetchPool(uint64_t vpage);
   void PurgePrefetchPool(uint64_t vpage);
+  // Runs the oldest yield-policy frame waiter's callback, if any.
+  void WakeFrameWaiter();
 
   Engine* engine_;
   Options options_;

@@ -520,12 +520,20 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
             continue;
           }
         }
-        WaitForFreeFrame(vpage);
+        // A woken frame waiter whose page another handler fetched meanwhile
+        // leaves without the frame it was woken for: it passes the wake on.
+        const bool woken = WaitForFreeFrame(vpage);
         if (mm_->StateOf(vpage) != PageState::kRemote) {
+          if (woken) {
+            mm_->PassFrameWake();
+          }
           continue;
         }
         core_->Consume(cfg_.frame_alloc_cycles);
         if (mm_->StateOf(vpage) != PageState::kRemote) {
+          if (woken) {
+            mm_->PassFrameWake();
+          }
           continue;
         }
         if (!mm_->HasFreeFrame()) {
@@ -550,9 +558,9 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
   }
 }
 
-void Worker::WaitForFreeFrame(uint64_t vpage) {
+bool Worker::WaitForFreeFrame(uint64_t vpage) {
   if (mm_->HasFreeFrame()) {
-    return;
+    return false;
   }
   ++mm_->stats().frame_stalls;
   // The frame wait is its own span segment: it is memory pressure, not fetch
@@ -569,6 +577,7 @@ void Worker::WaitForFreeFrame(uint64_t vpage) {
     // frames may all be pinned by *ready* unithreads that only this worker
     // can resume (and whose touches make their pages evictable again).
     RunItem* item = running_;
+    bool woken = false;
     while (!mm_->HasFreeFrame()) {
       DrainMemCq();
       if (mm_->HasFreeFrame()) {
@@ -579,12 +588,13 @@ void Worker::WaitForFreeFrame(uint64_t vpage) {
       UnithreadContext* ctx = item->ctx();
       ctx->state = ContextState::kBlocked;
       engine_->RawSwitch(ctx, item->home->fiber_ctx_);
+      woken = true;
       // Resumed on a frame release; re-check (it may be gone again).
     }
     if (tracer_ != nullptr) {
       tracer_->Record(engine_->now(), item->req->id, TraceEvent::kFrameStallDone);
     }
-    return;
+    return woken;
   }
   // Busy-waiting policies run one request per worker to completion, so the
   // handler legitimately spins; draining the CQ keeps fetched pages mapping
@@ -605,6 +615,7 @@ void Worker::WaitForFreeFrame(uint64_t vpage) {
   if (tracer_ != nullptr) {
     tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFrameStallDone);
   }
+  return false;
 }
 
 void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {

@@ -150,7 +150,8 @@ class Worker final : public WorkerApi {
   // `write` decides early-resume eligibility: a read may resume off the
   // critical chunk (docs/QOS.md); a write must wait for the whole page.
   ADIOS_MAY_SUSPEND void BlockOnFetch(uint64_t vpage, bool write);
-  ADIOS_MAY_SUSPEND void WaitForFreeFrame(uint64_t vpage);
+  // Returns true when the handler parked as a frame waiter and was woken.
+  ADIOS_MAY_SUSPEND bool WaitForFreeFrame(uint64_t vpage);
   void PostReadWithBackpressure(uint64_t vpage,
                                 TrafficClass cls = TrafficClass::kDemand);
   // Posts the demand READ for `vpage` plus the prefetcher's candidates —

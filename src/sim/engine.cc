@@ -30,36 +30,48 @@ void Engine::RunUntil(SimTime until) {
   running_ = true;
   stopped_ = false;
   horizon_ = until;
-  while (!heap_.empty() && !stopped_) {
-    if (heap_.front().when > until) {
-      now_ = until;
-      running_ = false;
-      return;
-    }
-    const Entry ev = heap_.front();
-    PopFront();
-    ADIOS_DCHECK(ev.when >= now_);
-    now_ = ev.when;
-    if (ev.resume != nullptr) {
-      ++events_processed_;
-      ev.resume->state = ContextState::kRunning;
-      RawSwitch(current_, ev.resume);
-      continue;
-    }
-    if (slots_[ev.slot].gen != ev.gen) {
-      continue;  // Cancelled.
-    }
-    ++events_processed_;
-    // Move the callback out first: it may schedule events, which can grow
-    // slots_, and the slot is free (and reusable) from here on.
-    InlineFn fn = std::move(slots_[ev.slot].fn);
-    FreeSlot(ev.slot);
-    fn();
+  // A context resumed here may hand off to others; control comes back once
+  // one of them meets the horizon, Stop(), an empty queue, or a callback it
+  // cannot run on its stack.
+  while (UnithreadContext* next = Dispatch(/*run_callbacks=*/true)) {
+    RawSwitch(&main_ctx_, next);
   }
   if (until != ~0ull && now_ < until) {
     now_ = until;
   }
   running_ = false;
+}
+
+UnithreadContext* Engine::Dispatch(bool run_callbacks) {
+  while (!stopped_ && !heap_.empty()) {
+    const Entry ev = heap_.front();
+    if (ev.when > horizon_) {
+      return nullptr;
+    }
+    const bool live = ev.resume != nullptr || slots_[ev.slot].gen == ev.gen;
+    if (live && ev.resume == nullptr && !run_callbacks) {
+      return nullptr;
+    }
+    PopFront();
+    ADIOS_DCHECK(ev.when >= now_);
+    now_ = ev.when;
+    if (!live) {
+      continue;  // Cancelled.
+    }
+    ++events_processed_;
+    if (ev.resume != nullptr) {
+      ev.resume->state = ContextState::kRunning;
+      return ev.resume;
+    }
+    // Move the callback out first: it may schedule events, which can grow
+    // slots_, and the slot is free (and reusable) from here on.
+    InlineFn fn = std::move(slots_[ev.slot].fn);
+    FreeSlot(ev.slot);
+    in_callback_ = true;
+    fn();
+    in_callback_ = false;
+  }
+  return nullptr;
 }
 
 void Engine::PopFront() {
@@ -102,14 +114,27 @@ void Engine::WaitQueued(SimTime wake) {
   UnithreadContext* self = current_;
   self->state = ContextState::kBlocked;
   Push(wake, self, 0, 0);
-  SwitchToMain();
+  Block();
 }
 
 void Engine::SuspendCurrent() {
-  ADIOS_CHECK(!on_main());
+  ADIOS_CHECK(may_block());
+  current_->state = ContextState::kBlocked;
+  Block();
+}
+
+void Engine::Block() {
   UnithreadContext* self = current_;
-  self->state = ContextState::kBlocked;
-  SwitchToMain();
+  UnithreadContext* next = nullptr;
+  if (running_) {
+    // Only an engine fiber's stack (kDefaultFiberStack) hosts callbacks; a
+    // unithread's pool stack is sized for its handler alone.
+    next = Dispatch(/*run_callbacks=*/self->entry == &Fiber::Entry);
+  }
+  if (next == self) {
+    return;  // Its own wake-up was next: no switch.
+  }
+  RawSwitch(self, next != nullptr ? next : &main_ctx_);
 }
 
 bool Engine::IsTrackedContext(const UnithreadContext* ctx) const {

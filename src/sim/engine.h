@@ -7,12 +7,21 @@
 // simulated time (`Wait`) or until another actor resumes them.
 //
 // Context discipline: the engine tracks the currently executing context.
-// Every switch site must go through RawSwitch()/SwitchToMain() so the
-// tracking stays correct; after any AdiosContextSwitch(from, to) returns,
-// the code is executing as `from` again and current is restored to it.
+// Every switch site must go through RawSwitch() so the tracking stays
+// correct; after any AdiosContextSwitch(from, to) returns, the code is
+// executing as `from` again and current is restored to it.
 // Application unithreads managed by the MD scheduler are entered from worker
 // fibers with RawSwitch, so a fault handler deep inside application code can
 // still Wait() on the engine and be resumed later.
+//
+// Direct handoff: a context that blocks runs the dispatch step itself
+// instead of returning to the main context first. When the next event is its
+// own wake-up it keeps running; when it is another context's wake-up it
+// switches straight there (one switch, not two through main); a fiber runs
+// callback events in place on its own stack. Only the rest (a callback while
+// on a unithread's small pool stack, the RunUntil horizon, Stop(), an empty
+// queue) goes back to main. The pop order and accounting are the main loop's
+// exactly, because both use the same Dispatch() step.
 
 #ifndef ADIOS_SRC_SIM_ENGINE_H_
 #define ADIOS_SRC_SIM_ENGINE_H_
@@ -117,11 +126,15 @@ class Engine {
 
   // --- Fiber API ---
 
-  // Creates a fiber and schedules its first run at the current time.
+  // Creates a fiber and schedules its first run at the current time. While
+  // the fiber is blocked its stack also hosts the callbacks it dispatches in
+  // place, so keep `stack_bytes` at the default unless callbacks are shallow.
   Fiber* SpawnFiber(std::string name, std::function<void()> fn,
                     size_t stack_bytes = kDefaultFiberStack);
 
-  // From inside any engine-managed context: suspend for `d` simulated time.
+  // From inside any engine-managed context (never from a callback): suspend
+  // for `d` simulated time. A queued wake-up blocks through the direct
+  // handoff described at the top of this file.
   //
   // Inline advance: when the wake-up would be the very next event the loop
   // pops, the caller keeps running and the clock moves here instead. That is
@@ -132,7 +145,7 @@ class Engine {
   // wake-up's push and dispatch would have, so every later event keeps its
   // seq and the run is bit-identical to queueing.
   ADIOS_MAY_SUSPEND void Wait(SimDuration d) {
-    ADIOS_CHECK(!on_main());
+    ADIOS_CHECK(may_block());
     const SimTime wake = now_ + d;
     if (running_ && !stopped_ && wake <= horizon_ &&
         (heap_.empty() || heap_.front().when > wake)) {
@@ -144,12 +157,14 @@ class Engine {
     WaitQueued(wake);
   }
 
-  // From inside any engine-managed context: suspend until resumed.
+  // From inside any engine-managed context (never from a callback): suspend
+  // until resumed.
   ADIOS_MAY_SUSPEND void SuspendCurrent();
 
   // Schedules `ctx` to resume after `delay`. Must not double-resume. Never
-  // suspends the *caller*: the switch happens when the event is dispatched,
-  // on the main context.
+  // suspends the *caller*: the switch into `ctx` happens when the event is
+  // dispatched, by whichever context dispatches it — the main loop, or a
+  // context that blocks and hands off straight to `ctx`.
   ADIOS_NO_SUSPEND void ResumeLater(UnithreadContext* ctx, SimDuration delay = 0) {
     ADIOS_DCHECK(ctx != nullptr);
     Push(now_ + delay, ctx, 0, 0);
@@ -164,13 +179,8 @@ class Engine {
     current_ = from;
   }
 
-  // From inside any engine-managed context: tracked switch back to the
-  // engine's main (event-loop) context without changing blocked state.
-  ADIOS_MAY_SUSPEND void SwitchToMain() {
-    ADIOS_CHECK(!on_main());
-    RawSwitch(current_, &main_ctx_);
-  }
-
+  // The executing context. Inside a callback that a blocked fiber runs in
+  // place, this is that fiber.
   UnithreadContext* current_context() { return current_; }
   UnithreadContext* main_context() { return &main_ctx_; }
   bool on_main() const { return current_ == &main_ctx_; }
@@ -219,8 +229,26 @@ class Engine {
     uint32_t gen = 0;
   };
 
+  // True in an engine-managed context outside any callback: the only place
+  // Wait/SuspendCurrent may run. A callback must never suspend, whether it
+  // runs on main or in place on a blocked fiber.
+  bool may_block() const { return !on_main() && !in_callback_; }
+
   // Queues a wake-up of the current context at `wake` and suspends it.
   ADIOS_MAY_SUSPEND void WaitQueued(SimTime wake);
+
+  // Suspends the current (already kBlocked) context by direct handoff: it
+  // dispatches for itself and switches to main only when it must.
+  ADIOS_MAY_SUSPEND void Block();
+
+  // The one dispatch step, shared by RunUntil and Block. Pops entries in
+  // (when, seq) order up to the horizon, skips stale ones, and runs callbacks
+  // on the calling stack when `run_callbacks`. Returns the first live
+  // wake-up's context, already marked running, for the caller to switch to
+  // (or keep running, if it is the caller). Returns nullptr, with that entry
+  // left queued, on Stop(), an empty queue, an entry past the horizon, or a
+  // live callback when `run_callbacks` is false.
+  UnithreadContext* Dispatch(bool run_callbacks);
 
   // heap_ is a 4-ary min-heap (children of i at 4i+1..4i+4): half the depth
   // of a binary heap, and a node's children share a cache line. Both sifts
@@ -267,6 +295,7 @@ class Engine {
   uint64_t events_processed_ = 0;
   bool stopped_ = false;
   bool running_ = false;
+  bool in_callback_ = false;  // A dispatched callback is executing.
   SimTime horizon_ = 0;  // `until` of the RunUntil in progress.
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;

@@ -3,7 +3,9 @@
 namespace adios {
 
 UnithreadPool::UnithreadPool(const Options& options)
-    : options_(options), arena_(options.count * options.buffer_size) {
+    : options_(options),
+      arena_(options.count * options.buffer_size),
+      in_use_(options.count, false) {
   ADIOS_CHECK(options_.count > 0);
   ADIOS_CHECK_EQ(options_.mtu % alignof(UnithreadContext), 0u);
   // 16-aligned buffers keep every embedded stack 16-aligned at allocation
@@ -37,6 +39,7 @@ UnithreadBuffer UnithreadPool::Acquire() {
     }
   }
   ADIOS_DCHECK(idx < handed_out_);
+  in_use_[idx] = true;
   buf.context()->id = idx;
   return buf;
 }
@@ -49,7 +52,8 @@ void UnithreadPool::Release(UnithreadBuffer buffer) {
   ADIOS_CHECK_EQ(static_cast<size_t>(offset) % options_.buffer_size, 0u);
   const size_t idx = static_cast<size_t>(offset) / options_.buffer_size;
   ADIOS_CHECK_LT(idx, handed_out_);
-  ADIOS_DCHECK(free_.size() < options_.count);
+  ADIOS_CHECK(in_use_[idx]);  // A double release.
+  in_use_[idx] = false;
   // A trampled canary means this unithread overflowed its universal stack at
   // some point during its life; catch it at retirement, with the buffer
   // index in hand, rather than letting the corruption spread on reuse.

@@ -108,6 +108,9 @@ class UnithreadPool {
 
   // Returns an invalid buffer when the pool is exhausted.
   ADIOS_NO_SUSPEND UnithreadBuffer Acquire();
+  // Returns a buffer to the pool. Releasing a buffer that is not in use (a
+  // double release) fails an ADIOS_CHECK: it would hand one buffer to two
+  // unithreads.
   ADIOS_NO_SUSPEND void Release(UnithreadBuffer buffer);
 
   // Reconstructs the buffer for a pool index (contexts carry their index in
@@ -141,6 +144,7 @@ class UnithreadPool {
   Options options_;
   ZeroPages arena_;
   std::vector<uint32_t> free_;  // Stack of free buffer indices.
+  std::vector<bool> in_use_;    // Per buffer: handed out and not yet released.
   size_t handed_out_ = 0;       // Buffers [0, handed_out_) have been handed out.
 };
 

@@ -1,7 +1,7 @@
 // Invariant-checker subsystem (src/check/): catches an injected
-// use-after-evict, a stack overflow, a frame-accounting leak, and a
-// context-switch-discipline violation — and stays silent on a clean
-// full-system run.
+// use-after-evict, a stack overflow, a frame-accounting leak, a stranded
+// frame waiter, and a context-switch-discipline violation — and stays
+// silent on a clean full-system run.
 
 #include "src/check/invariant_checker.h"
 
@@ -132,6 +132,38 @@ TEST(InvariantChecker, FrameAccountingLeakIsCounted) {
   EXPECT_EQ(checker.report().violations, 1u);
 }
 
+// A frame waiter parked while a frame is free after the drain has no
+// wake-up coming: the termination audit flags it.
+TEST(InvariantChecker, StrandedFrameWaiterIsCounted) {
+  Engine engine;
+  MemoryManager mm(&engine, SmallMmOptions());
+  InvariantChecker::Deps deps;
+  deps.engine = &engine;
+  deps.mm = &mm;
+  InvariantChecker checker(NonFatalOptions(), deps);
+  checker.Install();
+
+  for (uint64_t p = 0; p < SmallMmOptions().local_pages; ++p) {
+    mm.BeginFetch(p);
+  }
+  int woken = 0;
+  mm.AddFrameWaiter([&woken] { ++woken; });
+  checker.AuditTermination();
+  EXPECT_EQ(checker.report().violations, 0u);  // No frame free: it waits for one.
+
+  mm.AddFrameWaiter([&woken] { ++woken; });
+  mm.CompleteFetch(0);
+  mm.EvictPage(0);  // Releases a frame: wakes the oldest waiter only.
+  EXPECT_EQ(woken, 1);
+  checker.AuditTermination();
+  EXPECT_EQ(checker.report().violations, 1u);
+
+  mm.PassFrameWake();  // What a woken waiter leaving without a frame does.
+  EXPECT_EQ(woken, 2);
+  checker.AuditTermination();
+  EXPECT_EQ(checker.report().violations, 1u);
+}
+
 TEST(InvariantCheckerDeathTest, FrameAccountingLeakAbortsWhenFatal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
@@ -248,8 +280,8 @@ TEST(InvariantCheckerDeathTest, UntrackedSwitchOnEngineContextAborts) {
         InvariantChecker checker(opts, deps);
         checker.Install();
         engine.SpawnFiber("rogue", [&engine] {
-          // Bypasses RawSwitch/SwitchToMain: the engine's current-context
-          // tracking would desynchronize here.
+          // Bypasses RawSwitch: the engine's current-context tracking
+          // would desynchronize here.
           AdiosContextSwitch(engine.current_context(), engine.main_context());
         });
         engine.Run();

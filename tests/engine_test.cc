@@ -1,15 +1,19 @@
 // Discrete-event engine: ordering, determinism, fiber suspension semantics,
-// cancellation slots, the inline time advance, InlineFn, and the
-// allocation-free steady state (checked with a counting operator new).
+// direct fiber-to-fiber handoff, cancellation slots, the inline time
+// advance, InlineFn, and the allocation-free steady state (checked with a
+// counting operator new).
 
 #include "src/sim/engine.h"
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -432,6 +436,250 @@ TEST(InlineAdvance, MixedScheduleMatchesHandTrace) {
                                              "f@12"}));
   EXPECT_EQ(e.events_processed(), 7u);
   EXPECT_EQ(e.now(), 12u);
+}
+
+// --- Direct handoff ---
+
+// Records every context switch as "from>to" using the names given to Name().
+class SwitchLog {
+ public:
+  SwitchLog() { SetContextSwitchObserver(&SwitchLog::Observe, this); }
+  ~SwitchLog() { SetContextSwitchObserver(nullptr, nullptr); }
+  SwitchLog(const SwitchLog&) = delete;
+  SwitchLog& operator=(const SwitchLog&) = delete;
+
+  void Name(const UnithreadContext* ctx, std::string name) {
+    names_.push_back({ctx, std::move(name)});
+  }
+  const std::vector<std::string>& switches() const { return switches_; }
+
+ private:
+  static void Observe(void* user, UnithreadContext* from, UnithreadContext* to, bool) {
+    auto* self = static_cast<SwitchLog*>(user);
+    self->switches_.push_back(self->NameOf(from) + ">" + self->NameOf(to));
+  }
+  std::string NameOf(const UnithreadContext* ctx) const {
+    for (const auto& [c, name] : names_) {
+      if (c == ctx) {
+        return name;
+      }
+    }
+    return "?";
+  }
+
+  std::vector<std::pair<const UnithreadContext*, std::string>> names_;
+  std::vector<std::string> switches_;
+};
+
+bool OnStack(const UnithreadContext* ctx, const void* addr) {
+  const auto* low = static_cast<const std::byte*>(ctx->stack_low);
+  const auto* p = static_cast<const std::byte*>(addr);
+  return p >= low && p < low + ctx->stack_size;
+}
+
+// Fibers A, B and H, a nested unithread U entered from H, and a callback C,
+// against a hand-computed trace. Every blocking context dispatches for
+// itself: A hands off straight to B, B to H, U to B and back, U to A; A runs
+// C in place on its own stack; only finished fibers return to main.
+//   t=0:  A waits to 10 (B@0 queued first) -> A>B. B waits to 5 -> B>H.
+//         H enters U. U waits to 7; U cannot host callbacks, but B@5 is a
+//         wake-up -> U>B.
+//   t=5:  B waits to 15 -> B>U.   t=7: U waits to 14 -> U>A.
+//   t=10: A waits to 20; C@12 runs in place on A; then U@14 -> A>U.
+//   t=14: U finishes into H; H finishes into main.
+//   t=15: B finishes.   t=20: A finishes.
+TEST(Handoff, MixedScheduleMatchesHandTrace) {
+  Engine e;
+  SwitchLog log;
+  std::vector<std::string> trace;
+  auto mark = [&](const char* who) { trace.push_back(who + std::to_string(e.now())); };
+  const UnithreadContext* callback_ctx = nullptr;
+  e.Schedule(12, [&] {
+    mark("C@");
+    callback_ctx = e.current_context();
+  });
+  Fiber* a = e.SpawnFiber("a", [&] {
+    mark("A@");
+    e.Wait(10);
+    mark("A@");
+    e.Wait(10);
+    mark("A@");
+  });
+  Fiber* b = e.SpawnFiber("b", [&] {
+    mark("B@");
+    e.Wait(5);
+    mark("B@");
+    e.Wait(10);
+    mark("B@");
+  });
+  std::vector<std::byte> stack(32 * 1024);
+  UnithreadContext u;
+  struct UArgs {
+    Engine* e;
+    std::function<void(const char*)> mark;
+  } u_args{&e, mark};
+  Fiber* h = e.SpawnFiber("h", [&] {
+    mark("H@");
+    u.Reset(
+        stack.data(), stack.size(),
+        [](void* arg) {
+          auto* args = static_cast<UArgs*>(arg);
+          args->mark("U@");
+          args->e->Wait(7);
+          args->mark("U@");
+          args->e->Wait(7);
+          args->mark("U@");
+        },
+        &u_args, e.current_context());
+    e.RawSwitch(e.current_context(), &u);
+    mark("H@");
+  });
+  log.Name(e.main_context(), "main");
+  log.Name(a->ctx(), "A");
+  log.Name(b->ctx(), "B");
+  log.Name(h->ctx(), "H");
+  log.Name(&u, "U");
+  e.Run();
+  EXPECT_EQ(trace, (std::vector<std::string>{"A@0", "B@0", "H@0", "U@0", "B@5", "U@7", "A@10",
+                                             "C@12", "U@14", "H@14", "B@15", "A@20"}));
+  EXPECT_EQ(log.switches(),
+            (std::vector<std::string>{"main>A", "A>B", "B>H", "H>U", "U>B", "B>U", "U>A", "A>U",
+                                      "U>H", "H>main", "main>B", "B>main", "main>A", "A>main"}));
+  EXPECT_EQ(callback_ctx, a->ctx());  // C ran in place on the blocked fiber A.
+  // Spawns (3), B@5, U@7, A@10, C@12, U@14, B@15, A@20. U's entry is H's
+  // own switch, not an event.
+  EXPECT_EQ(e.events_processed(), 10u);
+  EXPECT_EQ(e.now(), 20u);
+}
+
+// A fiber that runs a same-time callback in place and then finds its own
+// wake-up next keeps running: no switch at all.
+TEST(Handoff, OwnWakeUpAfterInPlaceCallbackDoesNotSwitch) {
+  Engine e;
+  SwitchLog log;
+  std::vector<std::string> trace;
+  Fiber* f = e.SpawnFiber("f", [&] {
+    e.Schedule(10, [&] { trace.push_back("cb@" + std::to_string(e.now())); });
+    e.Wait(10);  // The callback ties the wake-up with a smaller seq.
+    trace.push_back("f@" + std::to_string(e.now()));
+  });
+  log.Name(e.main_context(), "main");
+  log.Name(f->ctx(), "F");
+  e.Run();
+  EXPECT_EQ(trace, (std::vector<std::string>{"cb@10", "f@10"}));
+  EXPECT_EQ(log.switches(), (std::vector<std::string>{"main>F", "F>main"}));
+  EXPECT_EQ(e.events_processed(), 3u);
+}
+
+// A ticking callback races a fiber and a nested unithread that both block
+// often. Callbacks run in place on the fiber's stack or on main, never on
+// the unithread's small pool-style stack.
+TEST(Handoff, CallbacksNeverRunOnUnithreadStack) {
+  Engine e;
+  std::vector<std::byte> stack(32 * 1024);
+  UnithreadContext u;
+  Fiber* f = e.SpawnFiber("f", [&] {
+    for (int i = 0; i < 200; ++i) {
+      e.Wait(5);
+    }
+  });
+  e.SpawnFiber("h", [&] {
+    u.Reset(
+        stack.data(), stack.size(),
+        [](void* arg) {
+          auto* engine = static_cast<Engine*>(arg);
+          for (int i = 0; i < 300; ++i) {
+            engine->Wait(3);
+          }
+        },
+        &e, e.current_context());
+    e.RawSwitch(e.current_context(), &u);
+  });
+  int on_fiber = 0;
+  int on_main = 0;
+  int on_unithread = 0;
+  std::function<void()> tick = [&] {
+    // The frame address, not a local's: AddressSanitizer may move locals to
+    // a heap-allocated fake stack.
+    const void* frame = __builtin_frame_address(0);
+    if (OnStack(&u, frame) || e.current_context() == &u) {
+      ++on_unithread;
+    } else if (e.current_context() == f->ctx()) {
+      EXPECT_TRUE(OnStack(f->ctx(), frame));
+      ++on_fiber;
+    } else {
+      EXPECT_TRUE(e.on_main());
+      ++on_main;
+    }
+    if (e.now() < 1000) {
+      e.Schedule(2, tick);
+    }
+  };
+  e.Schedule(1, tick);
+  e.Run();
+  EXPECT_EQ(on_unithread, 0);
+  EXPECT_GT(on_fiber, 0);
+  EXPECT_GT(on_main, 0);  // While U blocks with a callback next.
+  EXPECT_EQ(on_fiber + on_main, 501);  // t = 1, 3, ..., 1001.
+}
+
+// Two fibers that hand off to each other: the RunUntil horizon and Stop()
+// both still return control to the main context, mid-ping-pong.
+TEST(Handoff, HorizonAndStopReturnToMain) {
+  Engine e;
+  std::vector<std::string> trace;
+  for (const char* name : {"a", "b"}) {
+    e.SpawnFiber(name, [&e, &trace, name] {
+      for (int i = 0; i < 10; ++i) {
+        e.Wait(10);
+        trace.push_back(name + std::to_string(e.now()));
+      }
+    });
+  }
+  e.RunUntil(25);
+  EXPECT_EQ(e.now(), 25u);
+  EXPECT_EQ(trace, (std::vector<std::string>{"a10", "b10", "a20", "b20"}));
+  e.Schedule(20, [&] { e.Stop(); });  // At 45, after both wake-ups at 40.
+  e.Run();
+  EXPECT_EQ(e.now(), 45u);
+  EXPECT_EQ(trace.size(), 8u);
+  EXPECT_EQ(trace.back(), "b40");
+  e.Run();
+  EXPECT_EQ(e.now(), 100u);
+  EXPECT_EQ(trace.size(), 20u);
+}
+
+TEST(HandoffDeathTest, CallbackThatWaitsDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A callback on the main context.
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.Schedule(5, [&e] { e.Wait(1); });
+        e.Run();
+      },
+      "ADIOS_CHECK failed");
+  // A callback running in place on a blocked fiber's stack.
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.SpawnFiber("f", [&e] {
+          e.Schedule(5, [&e] { e.Wait(1); });
+          e.Wait(10);
+        });
+        e.Run();
+      },
+      "ADIOS_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.SpawnFiber("f", [&e] {
+          e.Schedule(5, [&e] { e.SuspendCurrent(); });
+          e.Wait(10);
+        });
+        e.Run();
+      },
+      "ADIOS_CHECK failed");
 }
 
 // --- Cancellation slots ---

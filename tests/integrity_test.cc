@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -88,6 +89,63 @@ TEST(PageChecksum, ShortTailIsZeroPaddedNotIgnored) {
   EXPECT_NE(PageChecksum(buf.data(), buf.size(), 41), clean);
   // And length itself is part of the digest domain.
   EXPECT_NE(PageChecksum(buf.data(), 12, 41), clean);
+}
+
+// Lane boundaries: word k feeds lane k mod 4 in groups of four words (32
+// bytes); words past the last full group and a partial word mix in serially.
+// Each length below sits on one side of a boundary.
+constexpr size_t kLaneBoundaryLengths[] = {0, 8, 24, 32, 40, 4088, 4096, 4100};
+
+std::vector<uint8_t> PatternedBuffer(size_t len) {
+  std::vector<uint8_t> buf(len);
+  for (size_t i = 0; i < len; ++i) {
+    buf[i] = static_cast<uint8_t>(i * 37 + (i >> 8) + 1);
+  }
+  return buf;
+}
+
+TEST(PageChecksum, EveryWordChangeIsDetectedAtLaneBoundaries) {
+  for (const size_t len : kLaneBoundaryLengths) {
+    std::vector<uint8_t> buf = PatternedBuffer(len);
+    const uint64_t clean = PageChecksum(buf.data(), len, 41);
+    EXPECT_EQ(PageChecksum(buf.data(), len, 41), clean) << len;
+    // Flip one bit in every 8-byte word (and in the partial tail word).
+    for (size_t off = 0; off < len; off += 8) {
+      const size_t byte = std::min(off + 5, len - 1);
+      buf[byte] ^= 0x40;
+      EXPECT_NE(PageChecksum(buf.data(), len, 41), clean) << "len " << len << " byte " << byte;
+      buf[byte] ^= 0x40;
+    }
+  }
+}
+
+TEST(PageChecksum, LengthsAcrossLaneBoundariesDigestDistinctly) {
+  const std::vector<uint8_t> zeros(4100, 0);
+  std::vector<uint64_t> digests;
+  for (const size_t len : kLaneBoundaryLengths) {
+    const uint64_t d = PageChecksum(zeros.data(), len, 41);
+    for (const uint64_t prev : digests) {
+      EXPECT_NE(d, prev) << len;
+    }
+    digests.push_back(d);
+  }
+}
+
+TEST(PageChecksum, SwapsAcrossAndWithinLanesChangeDigest) {
+  std::vector<uint8_t> page = PatternedBuffer(kPageSize);
+  const uint64_t clean = PageChecksum(page.data(), page.size(), 41);
+  auto swapped_digest = [&](size_t word_a, size_t word_b) {
+    std::vector<uint8_t> copy = page;
+    uint8_t tmp[8];
+    std::memcpy(tmp, copy.data() + 8 * word_a, 8);
+    std::memcpy(copy.data() + 8 * word_a, copy.data() + 8 * word_b, 8);
+    std::memcpy(copy.data() + 8 * word_b, tmp, 8);
+    return PageChecksum(copy.data(), copy.size(), 41);
+  };
+  EXPECT_NE(swapped_digest(1, 2), clean);      // Lanes 1 and 2, same group.
+  EXPECT_NE(swapped_digest(3, 260), clean);    // Lanes 3 and 0, far apart.
+  EXPECT_NE(swapped_digest(6, 10), clean);     // Both lane 2, adjacent groups.
+  EXPECT_NE(swapped_digest(0, 508), clean);    // Both lane 0, first and last group.
 }
 
 // --- Corruption ledger ---

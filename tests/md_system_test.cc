@@ -522,5 +522,29 @@ TEST(MdSystem, DestroyedWithRequestsInFlightFreesThem) {
   EXPECT_GT(r.completed, 0u);
 }
 
+// A woken yield-policy frame waiter whose page another handler fetched
+// meanwhile leaves without a frame. It must pass its wake-up on: each frame
+// release wakes one waiter, and once the reclaimer stops at its high
+// watermark nothing else would wake the rest. The serialized 8-worker
+// datapath at 9 MRPS (bench_scalability's config) used to end Run() with
+// 2,087 requests parked behind 655 free frames.
+TEST(MdSystem, FrameWaitersNeverStrandBehindFreeFrames) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.num_workers = 8;
+  cfg.fabric.link_gbps = 400.0;
+  cfg.fabric.wqe_process_ns = 60;
+  cfg.sync_model = MmSyncModel::kGlobalLock;
+  cfg.sync_hold_ns = 800;
+  ArrayApp::Options ao;
+  ao.entries = 1 << 20;
+  ArrayApp app(ao);
+  MdSystem sys(cfg, &app);
+  const RunResult r = sys.Run(9e6, Milliseconds(4), Milliseconds(10));
+  EXPECT_GT(sys.memory_manager().stats().frame_stalls, 0u);  // Frame waiters do park.
+  // Failed requests reply too, so they are part of `completed`.
+  EXPECT_EQ(r.sent, r.completed + r.dropped);
+  EXPECT_EQ(sys.memory_manager().frame_waiter_count(), 0u);
+}
+
 }  // namespace
 }  // namespace adios

@@ -270,12 +270,30 @@ TEST(UniversalStack, AuditCoversHandedOutPrefix) {
   EXPECT_EQ(audit.canary_violations, 1u);
   WriteStackCanary(b.canary());
 
-  // A double release (possible while `a` is still out) leaves a duplicate
-  // on the free list.
   pool.Release(c);
-  pool.Release(c);
-  EXPECT_FALSE(pool.Audit().free_list_ok);
+  EXPECT_TRUE(pool.Audit().free_list_ok);
   EXPECT_TRUE(a.valid());
+}
+
+// A double release while another buffer is still out (so the free list is
+// not full) would leave a duplicate on the free list and hand one buffer to
+// two unithreads: Release refuses it.
+TEST(UniversalStackDeathTest, DoubleReleaseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        UnithreadPool::Options opts;
+        opts.count = 4;
+        opts.buffer_size = 8192;
+        opts.mtu = 1536;
+        UnithreadPool pool(opts);
+        UnithreadBuffer a = pool.Acquire();
+        UnithreadBuffer b = pool.Acquire();
+        pool.Release(b);
+        pool.Release(b);
+        pool.Release(a);
+      },
+      "ADIOS_CHECK failed");
 }
 
 // --- Demand paging of the arena ---

@@ -24,7 +24,6 @@ SEED_QUALNAMES = {
     "Engine::Wait",
     "Engine::SuspendCurrent",
     "Engine::RawSwitch",
-    "Engine::SwitchToMain",
     "Engine::Run",
     "Engine::RunUntil",
     "WaitQueue::Wait",
