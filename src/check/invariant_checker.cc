@@ -264,6 +264,7 @@ void InvariantChecker::SchedulePeriodicAudits(SimTime horizon) {
 }
 
 void InvariantChecker::ScheduleNextAudit() {
+  ++report_.audit_events;
   deps_.engine->Schedule(options_.audit_interval_ns, [this] {
     AuditNow();
     // Self-rescheduling stops at the horizon so an engine that runs until

@@ -72,6 +72,7 @@ class InvariantChecker {
 
   struct Report {
     uint64_t audits = 0;
+    uint64_t audit_events = 0;  // Engine events scheduled for periodic audits.
     uint64_t violations = 0;
     uint64_t pages_poisoned = 0;      // Currently poisoned.
     uint64_t poison_events = 0;       // Total evict-side poisonings.

@@ -35,7 +35,6 @@
 #include "src/mem/page_table.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
-#include "src/sim/wait_queue.h"
 
 namespace adios {
 
@@ -194,12 +193,9 @@ class MemoryManager {
            options_.reclaim_high_watermark * static_cast<double>(options_.local_pages);
   }
 
-  // Fault handlers blocked on frame exhaustion wait here; eviction notifies.
-  WaitQueue& frame_waiters() { return frame_waiters_; }
-
-  // Yield-policy frame waiters: a callback run (FIFO) when a frame frees —
-  // used by handlers that return control to their worker while waiting, so
-  // the worker can keep resuming ready unithreads (deadlock avoidance).
+  // Frame waiters: a callback run (FIFO) when a frame frees — used by
+  // handlers that return control to their worker while waiting, so the
+  // worker can keep resuming ready unithreads (deadlock avoidance).
   void AddFrameWaiter(std::function<void()> resume) {
     frame_callbacks_.push_back(std::move(resume));
   }
@@ -345,7 +341,6 @@ class MemoryManager {
   Options options_;
   PageTable page_table_;
   uint64_t used_frames_ = 0;
-  WaitQueue frame_waiters_;
   std::deque<std::function<void()>> frame_callbacks_;
   struct FetchWaiterEntry {
     FetchWaiter fn;

@@ -43,11 +43,11 @@ void Engine::RunUntil(SimTime until) {
 }
 
 UnithreadContext* Engine::Dispatch(bool run_callbacks) {
-  while (!stopped_ && !heap_.empty()) {
-    const Entry ev = heap_.front();
-    if (ev.when > horizon_) {
+  while (!stopped_ && !empty()) {
+    if (front_.when > horizon_) {
       return nullptr;
     }
+    const Entry ev = front_;
     const bool live = ev.resume != nullptr || slots_[ev.slot].gen == ev.gen;
     if (live && ev.resume == nullptr && !run_callbacks) {
       return nullptr;
@@ -74,33 +74,78 @@ UnithreadContext* Engine::Dispatch(bool run_callbacks) {
   return nullptr;
 }
 
+void Engine::InsertBefore(Bucket& b, uint32_t n) {
+  const SimTime when = nodes_[n].entry.when;
+  uint32_t* link = &b.head;
+  while (nodes_[*link].entry.when <= when) {
+    link = &nodes_[*link].next;
+  }
+  nodes_[n].next = *link;
+  *link = n;
+}
+
+void Engine::PushFar(const FarEntry& e) {
+  // The wheel may lag behind now_ (after inline advances or a horizon jump):
+  // move it up as far as it may go, then queue e wherever it now falls.
+  if (empty()) {
+    front_ = e.entry;  // Push() cannot tell an entry at kNever from none.
+  }
+  const uint64_t bucket = BucketOf(std::min(now_, front_.when));
+  if (bucket > cur_) {
+    AdvanceWheel(bucket);
+  }
+  if (BucketOf(e.entry.when) - cur_ < kBuckets) {
+    InsertWheel(e.entry);
+  } else {
+    overflow_.push_back(e);
+    std::push_heap(overflow_.begin(), overflow_.end(), Later);
+  }
+}
+
 void Engine::PopFront() {
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const size_t n = heap_.size();
-  if (n == 0) {
+  const SimTime when = front_.when;
+  // cur_ moves to the popped entry's bucket first; if that entry was in
+  // overflow_, it is now the head of its wheel bucket.
+  if (BucketOf(when) != cur_) {
+    AdvanceWheel(BucketOf(when));
+  }
+  const size_t r = RingOf(when);
+  Bucket& b = buckets_[r];
+  const uint32_t n = b.head;
+  b.head = nodes_[n].next;
+  nodes_[n].next = free_node_;
+  free_node_ = n;
+  --wheel_size_;
+  if (b.head != kNil) {
+    front_ = nodes_[b.head].entry;
     return;
   }
-  size_t i = 0;
-  for (;;) {
-    const size_t first = kArity * i + 1;
-    if (first >= n) {
-      break;
-    }
-    const size_t end = std::min(first + kArity, n);
-    size_t best = first;
-    for (size_t c = first + 1; c < end; ++c) {
-      if (Later(heap_[best], heap_[c])) {
-        best = c;
-      }
-    }
-    if (!Later(last, heap_[best])) {
-      break;
-    }
-    heap_[i] = heap_[best];
-    i = best;
+  b.tail = kNil;
+  occupied_[r / 64] &= ~(1ull << (r % 64));
+  if (occupied_[r / 64] == 0) {
+    summary_ &= ~(1ull << (r / 64));
   }
-  heap_[i] = last;
+  if (wheel_size_ != 0) {
+    front_ = nodes_[buckets_[NextOccupied()].head].entry;
+  } else if (!overflow_.empty()) {
+    front_ = overflow_.front().entry;
+  } else {
+    front_.when = kNever;
+  }
+}
+
+void Engine::AdvanceWheel(uint64_t bucket) {
+  ADIOS_DCHECK(bucket > cur_);
+  cur_ = bucket;
+  // Popped in (when, seq) order into buckets no push could reach yet, so
+  // each lands at its bucket's tail.
+  const SimTime end = (cur_ + kBuckets) << kBucketShift;
+  while (!overflow_.empty() && overflow_.front().entry.when < end) {
+    const Entry e = overflow_.front().entry;
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later);
+    overflow_.pop_back();
+    InsertWheel(e);
+  }
 }
 
 Fiber* Engine::SpawnFiber(std::string name, std::function<void()> fn, size_t stack_bytes) {

@@ -1,7 +1,10 @@
 // Discrete-event simulation engine with unithread-fiber integration.
 //
 // The engine owns a virtual clock (integer nanoseconds) and a deterministic
-// event queue (ties broken by insertion order). Simulated actors — CPU core
+// event queue (ties broken by insertion order). The queue is a calendar
+// queue (Brown, "Calendar Queues", CACM 1988): a wheel of fixed-width time
+// buckets covering the next ~131 us, plus a small heap for the rare event
+// due further out; see the queue section below. Simulated actors — CPU core
 // loops, the load generator, NIC engines — either run as plain scheduled
 // callbacks or as *fibers*: real unithread contexts that can suspend at a
 // simulated time (`Wait`) or until another actor resumes them.
@@ -26,6 +29,7 @@
 #ifndef ADIOS_SRC_SIM_ENGINE_H_
 #define ADIOS_SRC_SIM_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -147,8 +151,7 @@ class Engine {
   ADIOS_MAY_SUSPEND void Wait(SimDuration d) {
     ADIOS_CHECK(may_block());
     const SimTime wake = now_ + d;
-    if (running_ && !stopped_ && wake <= horizon_ &&
-        (heap_.empty() || heap_.front().when > wake)) {
+    if (running_ && !stopped_ && wake <= horizon_ && (front_.when > wake || empty())) {
       now_ = wake;
       ++next_seq_;
       ++events_processed_;
@@ -203,26 +206,29 @@ class Engine {
 
   static constexpr size_t kDefaultFiberStack = 256 * 1024;
 
+  // Calendar-queue geometry (see the queue section below): kBuckets buckets
+  // of kBucketNs = 32 ns make a wheel of kWheelNs = 131 us.
+  static constexpr unsigned kBucketShift = 5;
+  static constexpr uint64_t kBuckets = 4096;
+  static constexpr SimDuration kBucketNs = SimDuration{1} << kBucketShift;
+  static constexpr SimDuration kWheelNs = kBucketNs * kBuckets;
+
  private:
-  // One queued event: 32 bytes, no owned state. A non-null `resume` is a
+  // One queued event: 24 bytes, no owned state. A non-null `resume` is a
   // fiber wake-up (Wait, ResumeLater, SpawnFiber) that switches straight to
   // that context. Otherwise the callback lives in slots_[slot], and the entry
   // is stale (its event was cancelled) when the slot's generation moved on.
+  // Ties break by insertion order (seq), which the queue keeps positionally;
+  // only entries beyond the wheel store their seq (FarEntry).
   struct Entry {
     SimTime when;
-    uint64_t seq;
     UnithreadContext* resume;
     uint32_t slot;
     uint32_t gen;
   };
-  static_assert(sizeof(Entry) == 32);
-  // Heap order: a is popped after b. Ties break by insertion order.
-  static bool Later(const Entry& a, const Entry& b) {
-    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-  }
 
   // Callback storage, recycled through free_slots_. `gen` advances each time
-  // the slot is freed (fired or cancelled), which invalidates heap entries
+  // the slot is freed (fired or cancelled), which invalidates queued entries
   // and handles that still name the old generation.
   struct Slot {
     InlineFn fn;
@@ -250,27 +256,122 @@ class Engine {
   // live callback when `run_callbacks` is false.
   UnithreadContext* Dispatch(bool run_callbacks);
 
-  // heap_ is a 4-ary min-heap (children of i at 4i+1..4i+4): half the depth
-  // of a binary heap, and a node's children share a cache line. Both sifts
-  // move a hole instead of swapping. (when, seq) is a strict total order, so
-  // the pop sequence is the same as with any other heap.
-  static constexpr size_t kArity = 4;
-  void Push(SimTime when, UnithreadContext* resume, uint32_t slot, uint32_t gen) {
-    const Entry e{when, next_seq_++, resume, slot, gen};
-    size_t i = heap_.size();
-    heap_.push_back(e);
-    while (i > 0) {
-      const size_t parent = (i - 1) / kArity;
-      if (!Later(heap_[parent], e)) {
-        break;
-      }
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
+  // --- Event queue: a calendar queue ---
+  //
+  // The wheel is kBuckets buckets of kBucketNs each. cur_ is an absolute
+  // bucket number (when >> kBucketShift); the wheel holds exactly the
+  // entries of buckets [cur_, cur_ + kBuckets), so ring slot b % kBuckets
+  // names one absolute bucket b. Each bucket is an intrusive singly linked
+  // list of nodes_ in (when, seq) order. A push has the newest seq, so it
+  // goes after every entry at or before its time: almost always at the tail.
+  // occupied_ has one bit per bucket and summary_ one bit per occupied_ word,
+  // so the next non-empty bucket is two ctz away. Entries due at or past
+  // cur_ + kBuckets wait in overflow_, a binary heap in (when, seq) order.
+  // cur_ only grows, and whenever it does the overflow entries now inside
+  // the wheel move in, before any push can land in their range: every wheel
+  // entry is earlier than every overflow entry, and buckets fill in order.
+  //
+  // cur_ never passes the bucket of now_ or of any queued entry: a pop moves
+  // it to the popped entry's bucket (now_ is that entry's time), and a push
+  // beyond the wheel moves it up to the earlier of the two. Every push is at
+  // or after now_, so it never lands behind cur_. front_ is a copy of the
+  // earliest entry, so the dispatch loop and the inline advance read it
+  // without a lookup. Freed nodes are recycled through free_node_, so the
+  // steady state allocates nothing.
+  static constexpr size_t kWords = kBuckets / 64;
+  static_assert(kWords == 64, "summary_ holds one bit per occupied_ word");
+  static constexpr uint32_t kNil = ~0u;
+  static constexpr SimTime kNever = ~0ull;
+
+  struct Node {
+    Entry entry;
+    uint32_t next;
+  };
+  static_assert(sizeof(Node) == 32);
+  struct Bucket {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+  };
+  struct FarEntry {
+    Entry entry;
+    uint64_t seq;
+  };
+  // Heap order for overflow_: a is popped after b.
+  static bool Later(const FarEntry& a, const FarEntry& b) {
+    return a.entry.when != b.entry.when ? a.entry.when > b.entry.when : a.seq > b.seq;
   }
-  // Removes heap_.front().
+
+  static uint64_t BucketOf(SimTime when) { return when >> kBucketShift; }
+  static size_t RingOf(SimTime when) { return BucketOf(when) & (kBuckets - 1); }
+
+  bool empty() const { return wheel_size_ == 0 && overflow_.empty(); }
+  // Ring index of the first non-empty bucket at or after cur_, wrapping.
+  // Requires wheel_size_ != 0.
+  size_t NextOccupied() const {
+    const size_t r = cur_ & (kBuckets - 1);
+    const size_t w = r / 64;
+    const uint64_t bits = occupied_[w] & (~0ull << (r % 64));
+    if (bits != 0) {
+      return w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+    }
+    // Words after w, else wrap around to the lowest (which may be w itself:
+    // its bits at or after r are clear, so only the wrapped ones remain).
+    uint64_t words = summary_ & ~((2ull << w) - 1);
+    if (words == 0) {
+      words = summary_;
+    }
+    const size_t w2 = static_cast<size_t>(__builtin_ctzll(words));
+    return w2 * 64 + static_cast<size_t>(__builtin_ctzll(occupied_[w2]));
+  }
+
+  void Push(SimTime when, UnithreadContext* resume, uint32_t slot, uint32_t gen) {
+    const Entry e{when, resume, slot, gen};
+    const uint64_t seq = next_seq_++;
+    // Unsigned: a push is never behind cur_.
+    if (BucketOf(when) - cur_ < kBuckets) {
+      InsertWheel(e);
+    } else {
+      PushFar(FarEntry{e, seq});
+    }
+    if (when < front_.when) {
+      front_ = e;
+    }
+  }
+  // Queues e in its bucket after every entry due at or before it, which is
+  // its (when, seq) place when e is newer than the bucket's entries.
+  void InsertWheel(const Entry& e) {
+    uint32_t n = free_node_;
+    if (n == kNil) {
+      n = static_cast<uint32_t>(nodes_.size());
+      nodes_.push_back(Node{e, kNil});
+    } else {
+      free_node_ = nodes_[n].next;
+      nodes_[n] = Node{e, kNil};
+    }
+    ++wheel_size_;
+    const size_t r = RingOf(e.when);
+    Bucket& b = buckets_[r];
+    if (b.tail == kNil) {
+      b.head = b.tail = n;
+      occupied_[r / 64] |= 1ull << (r % 64);
+      summary_ |= 1ull << (r / 64);
+    } else if (nodes_[b.tail].entry.when <= e.when) {
+      nodes_[b.tail].next = n;
+      b.tail = n;
+    } else {
+      InsertBefore(b, n);
+    }
+  }
+  // Links node n into b ahead of b's tail, which is due later than n.
+  void InsertBefore(Bucket& b, uint32_t n);
+  // Queues an entry due at or past the wheel's end.
+  void PushFar(const FarEntry& e);
+  // Removes front_ and copies the next earliest entry there.
   void PopFront();
+  // Moves cur_ up to `bucket` and the overflow entries now inside the wheel
+  // into it.
+  void AdvanceWheel(uint64_t bucket);
+
   uint32_t AllocSlot(InlineFn fn) {
     uint32_t slot;
     if (free_slots_.empty()) {
@@ -297,7 +398,15 @@ class Engine {
   bool running_ = false;
   bool in_callback_ = false;  // A dispatched callback is executing.
   SimTime horizon_ = 0;  // `until` of the RunUntil in progress.
-  std::vector<Entry> heap_;
+  Entry front_{kNever, nullptr, 0, 0};  // Earliest entry; when kNever if empty.
+  uint64_t cur_ = 0;  // Absolute bucket at the wheel's start.
+  size_t wheel_size_ = 0;
+  std::array<Bucket, kBuckets> buckets_;
+  std::array<uint64_t, kWords> occupied_{};
+  uint64_t summary_ = 0;
+  std::vector<Node> nodes_;
+  uint32_t free_node_ = kNil;
+  std::vector<FarEntry> overflow_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   UnithreadContext main_ctx_;

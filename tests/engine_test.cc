@@ -1,4 +1,5 @@
-// Discrete-event engine: ordering, determinism, fiber suspension semantics,
+// Discrete-event engine: ordering, determinism, the calendar queue's order
+// against a (when, seq) priority queue, fiber suspension semantics,
 // direct fiber-to-fiber handoff, cancellation slots, the inline time
 // advance, InlineFn, and the allocation-free steady state (checked with a
 // counting operator new).
@@ -9,9 +10,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdlib>
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <new>
+#include <queue>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,7 +95,7 @@ TEST(Engine, TiesBreakByInsertionOrder) {
 
 // Random times with many ties, events scheduled from inside events, and
 // cancellations: the dispatch order must be (time, insertion order).
-TEST(Engine, HeapOrderMatchesSortedReference) {
+TEST(Engine, QueueOrderMatchesSortedReference) {
   Engine e;
   Rng rng(7);
   struct Fired {
@@ -833,6 +838,340 @@ TEST(InlineFnTest, EngineDestroysUnfiredAndCancelledCallbacks) {
     EXPECT_EQ(Counted::live, 2);
   }
   EXPECT_EQ(Counted::live, 0);
+}
+
+// --- Calendar queue: the same order as a (when, seq) priority queue ---
+
+constexpr SimDuration kBucket = Engine::kBucketNs;
+constexpr SimDuration kWheel = Engine::kWheelNs;
+
+// Delays that probe the queue's edges: ties, bucket and wheel boundaries,
+// and far beyond the wheel.
+SimDuration EdgeDelay(Rng& rng) {
+  switch (rng.NextBelow(12)) {
+    case 0:
+      return 0;
+    case 1:
+      return kBucket - 1;
+    case 2:
+      return kBucket;
+    case 3:
+      return kWheel - 1;
+    case 4:
+      return kWheel;
+    case 5:
+      return kWheel + 1 + rng.NextBelow(4 * kWheel);
+    case 6:
+      return 20 * kWheel + rng.NextBelow(kWheel);
+    case 7:
+    case 8:
+      return rng.NextBelow(4 * kBucket);
+    default:
+      return rng.NextBelow(2000);
+  }
+}
+
+// One step of an actor (a self-rescheduling callback chain or a fiber):
+// side events to schedule, whether to cancel its oldest cancellable side
+// event, and the delay to its next step. A pure function of (seed, actor,
+// step), so the engine and the reference get the same plan as long as they
+// run the steps in the same order.
+struct StepPlan {
+  std::vector<std::pair<SimDuration, bool>> sides;  // {delay, cancellable}.
+  bool cancel_oldest = false;
+  SimDuration next = 0;
+};
+
+StepPlan PlanStep(uint64_t seed, uint64_t actor, uint64_t step) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ull + actor * 1000003 + step);
+  StepPlan p;
+  p.next = EdgeDelay(rng);
+  const uint64_t sides = rng.NextBelow(3);
+  for (uint64_t k = 0; k < sides; ++k) {
+    // A third of the side events tie exactly with the actor's next step.
+    const SimDuration d = rng.NextBelow(3) == 0 ? p.next : EdgeDelay(rng);
+    p.sides.push_back({d, rng.NextBelow(2) == 0});
+  }
+  p.cancel_oldest = rng.NextBelow(3) == 0;
+  return p;
+}
+
+// Event labels: an actor's step is (actor, step, 0), its k-th side event
+// (actor, step, k + 1). Side events whose label is a multiple of 5 call
+// Stop() while stops are on.
+uint64_t Label(uint64_t actor, uint64_t step, uint64_t k) {
+  return actor << 40 | step << 8 | k;
+}
+bool IsStep(uint64_t label) { return (label & 0xff) == 0; }
+bool IsStop(uint64_t label) { return !IsStep(label) && label % 5 == 0; }
+
+struct Fired {
+  uint64_t label;
+  SimTime now;
+  bool operator==(const Fired&) const = default;
+};
+
+struct WorldShape {
+  uint64_t seed;
+  uint64_t chains;
+  uint64_t fibers;  // Actors chains .. chains + fibers - 1.
+  uint64_t steps;   // Per actor.
+};
+
+// The specification: one seq per push, pop in (when, seq) order, cancelled
+// entries skipped but still moving the clock, RunUntil leaving later entries
+// queued and moving the clock to its horizon.
+class ReferenceWorld {
+ public:
+  explicit ReferenceWorld(const WorldShape& shape) : shape_(shape) {
+    for (uint64_t a = 0; a < shape.chains + shape.fibers; ++a) {
+      Push(0, Label(a, 0, 0));
+    }
+  }
+
+  void Push(SimTime when, uint64_t label) { queue_.push({when, seq_++, label}); }
+
+  // Runs entries due at or before `until`; with `stops`, also returns after
+  // a stop event.
+  void RunUntil(SimTime until, bool stops) {
+    while (!queue_.empty() && queue_.top().when <= until) {
+      const Entry ev = queue_.top();
+      queue_.pop();
+      now_ = ev.when;
+      if (cancelled_.count(ev.label) != 0) {
+        continue;
+      }
+      fired_.push_back({ev.label, now_});
+      if (IsStep(ev.label)) {
+        RunStep(ev.label >> 40, (ev.label >> 8) & 0xffffffff);
+      } else if (stops && IsStop(ev.label)) {
+        return;
+      }
+    }
+    if (until != ~0ull && now_ < until) {
+      now_ = until;
+    }
+  }
+
+  SimTime now() const { return now_; }
+  bool empty() const { return queue_.empty(); }
+  const std::vector<Fired>& fired() const { return fired_; }
+
+ private:
+  struct Entry {
+    SimTime when;
+    uint64_t seq;
+    uint64_t label;
+    bool operator>(const Entry& o) const {
+      return when != o.when ? when > o.when : seq > o.seq;
+    }
+  };
+
+  void RunStep(uint64_t actor, uint64_t step) {
+    const StepPlan plan = PlanStep(shape_.seed, actor, step);
+    for (size_t k = 0; k < plan.sides.size(); ++k) {
+      const uint64_t label = Label(actor, step, k + 1);
+      Push(now_ + plan.sides[k].first, label);
+      if (plan.sides[k].second) {
+        pending_[actor].push_back(label);
+      }
+    }
+    if (plan.cancel_oldest && !pending_[actor].empty()) {
+      cancelled_.insert(pending_[actor].front());
+      pending_[actor].pop_front();
+    }
+    if (step + 1 < shape_.steps) {
+      Push(now_ + plan.next, Label(actor, step + 1, 0));
+    }
+  }
+
+  WorldShape shape_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  uint64_t seq_ = 0;
+  SimTime now_ = 0;
+  std::set<uint64_t> cancelled_;
+  std::map<uint64_t, std::deque<uint64_t>> pending_;
+  std::vector<Fired> fired_;
+};
+
+// The same actors on the engine: chains as self-rescheduling callbacks,
+// fibers as loops of Wait (which advances inline whenever its wake-up is
+// the next event), side events as plain or cancellable callbacks.
+class EngineWorld {
+ public:
+  EngineWorld(Engine* e, const WorldShape& shape) : e_(e), shape_(shape) {
+    for (uint64_t a = 0; a < shape.chains; ++a) {
+      e_->Schedule(0, [this, a] { ChainStep(a, 0); });
+    }
+    for (uint64_t a = shape.chains; a < shape.chains + shape.fibers; ++a) {
+      e_->SpawnFiber("actor", [this, a] {
+        for (uint64_t step = 0; step < shape_.steps; ++step) {
+          const SimDuration next = Step(a, step);
+          if (step + 1 < shape_.steps) {
+            e_->Wait(next);
+          }
+        }
+      });
+    }
+  }
+
+  void Side(SimDuration delay, uint64_t label) {
+    e_->Schedule(delay, [this, label] { FireSide(label); });
+  }
+
+  bool stops = false;
+  const std::vector<Fired>& fired() const { return fired_; }
+
+ private:
+  void ChainStep(uint64_t actor, uint64_t step) {
+    const SimDuration next = Step(actor, step);
+    if (step + 1 < shape_.steps) {
+      e_->Schedule(next, [this, actor, step] { ChainStep(actor, step + 1); });
+    }
+  }
+
+  // Records the step, schedules its side events and cancellation, and
+  // returns the delay to the next step.
+  SimDuration Step(uint64_t actor, uint64_t step) {
+    fired_.push_back({Label(actor, step, 0), e_->now()});
+    const StepPlan plan = PlanStep(shape_.seed, actor, step);
+    for (size_t k = 0; k < plan.sides.size(); ++k) {
+      const uint64_t label = Label(actor, step, k + 1);
+      if (plan.sides[k].second) {
+        pending_[actor].push_back(
+            e_->ScheduleCancellable(plan.sides[k].first, [this, label] { FireSide(label); }));
+      } else {
+        Side(plan.sides[k].first, label);
+      }
+    }
+    if (plan.cancel_oldest && !pending_[actor].empty()) {
+      pending_[actor].front().Cancel();
+      pending_[actor].pop_front();
+    }
+    return plan.next;
+  }
+
+  void FireSide(uint64_t label) {
+    fired_.push_back({label, e_->now()});
+    if (stops && IsStop(label)) {
+      e_->Stop();
+    }
+  }
+
+  Engine* e_;
+  WorldShape shape_;
+  std::map<uint64_t, std::deque<Engine::EventHandle>> pending_;
+  std::vector<Fired> fired_;
+};
+
+// Randomized chains, fibers, ties, edge delays and cancellations, first in
+// RunUntil slices whose horizons land mid-bucket (with events scheduled from
+// outside between slices), then in Run() calls cut short by Stop() events.
+// Every event, its time, the clock after each call and the event count must
+// match the reference exactly; the run spans hundreds of wheel turns.
+TEST(CalendarQueue, RandomScheduleMatchesReference) {
+  constexpr uint64_t kExternal = 1000;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    const WorldShape shape{seed, /*chains=*/12, /*fibers=*/6, /*steps=*/300};
+    Engine e;
+    EngineWorld world(&e, shape);
+    ReferenceWorld ref(shape);
+    Rng rng(seed);
+    SimTime horizon = 0;
+    for (uint64_t slice = 0; slice < 200; ++slice) {
+      horizon = ((horizon + rng.NextBelow(3 * kWheel)) & ~(kBucket - 1)) + kBucket / 2 + 1;
+      e.RunUntil(horizon);
+      ref.RunUntil(horizon, /*stops=*/false);
+      ASSERT_EQ(e.now(), ref.now()) << "slice " << slice;
+      ASSERT_EQ(world.fired().size(), ref.fired().size()) << "slice " << slice;
+      const SimDuration delay = EdgeDelay(rng);
+      world.Side(delay, Label(kExternal, slice, 1));
+      ref.Push(ref.now() + delay, Label(kExternal, slice, 1));
+    }
+    world.stops = true;
+    uint64_t runs = 0;
+    while (!ref.empty()) {
+      e.Run();
+      ref.RunUntil(~0ull, /*stops=*/true);
+      ASSERT_EQ(e.now(), ref.now()) << "run " << runs;
+      ASSERT_EQ(world.fired().size(), ref.fired().size()) << "run " << runs;
+      ++runs;
+    }
+    e.Run();  // The engine's queue is empty too: nothing more fires.
+    EXPECT_GT(runs, 10u);
+    EXPECT_GT(e.now(), 200 * kWheel);
+    ASSERT_EQ(world.fired().size(), ref.fired().size());
+    for (size_t i = 0; i < ref.fired().size(); ++i) {
+      ASSERT_EQ(world.fired()[i], ref.fired()[i]) << "event " << i;
+    }
+    EXPECT_EQ(e.events_processed(), ref.fired().size());
+  }
+}
+
+// From a mid-bucket instant, one event at each edge delay, scheduled in
+// scrambled order and twice each: the pops come out in (time, insertion)
+// order with the clock at each event's time.
+TEST(CalendarQueue, EdgeDelaysPopInTimeThenInsertionOrder) {
+  Engine e;
+  e.RunUntil(kBucket * 1000 + 7);
+  const std::vector<SimDuration> delays = {kWheel,     0,           100 * kWheel, kBucket - 1,
+                                           kWheel - 1, kBucket,     kWheel + 1,   3 * kWheel,
+                                           1,          kBucket + 1, 2 * kWheel - 1};
+  std::vector<std::pair<SimTime, int>> expected;
+  std::vector<std::pair<SimTime, int>> fired;
+  int id = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (SimDuration d : delays) {
+      expected.push_back({e.now() + d, id});
+      e.Schedule(d, [&fired, &e, id] { fired.push_back({e.now(), id}); });
+      ++id;
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  e.Run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(e.now(), kBucket * 1000 + 7 + 100 * kWheel);
+}
+
+// Wait's inline advance compares exact times, not buckets: with the
+// earliest entry in the wake-up's own bucket, a wake-up before it advances
+// inline (no switch), and one at or after it queues behind it.
+TEST(CalendarQueue, InlineAdvanceWithEarliestEntryInSameBucket) {
+  Engine e;
+  SwitchLog log;
+  std::vector<std::string> trace;
+  auto mark = [&](const char* who) { trace.push_back(who + std::to_string(e.now())); };
+  size_t switches_before_wait = 0;
+  Fiber* f = e.SpawnFiber("f", [&] {
+    // Bucket [64, 96): a callback at 80.
+    e.Schedule(80, [&] { mark("A@"); });
+    e.Wait(70);  // Earlier in A's bucket: inline.
+    mark("f@");
+    switches_before_wait = log.switches().size();
+    e.Wait(9);  // 79: still inline.
+    mark("f@");
+    EXPECT_EQ(log.switches().size(), switches_before_wait);
+    e.Wait(1);  // 80 ties A, which was pushed first: queued behind it.
+    mark("f@");
+    e.Schedule(15, [&] { mark("B@"); });  // 95, the bucket's last ns.
+    e.Wait(14);  // 94: inline.
+    mark("f@");
+    e.Wait(2);  // 96: the next bucket, after B at 95.
+    mark("f@");
+  });
+  log.Name(e.main_context(), "main");
+  log.Name(f->ctx(), "f");
+  e.Run();
+  EXPECT_EQ(trace, (std::vector<std::string>{"f@70", "f@79", "A@80", "f@80", "f@94", "B@95",
+                                             "f@96"}));
+  // The two queued wake-ups ran their callback in place and resumed without
+  // a switch; only the spawn and the finish switch.
+  EXPECT_EQ(log.switches(), (std::vector<std::string>{"main>f", "f>main"}));
+  // Spawn, 70, 79, A, 80, 94, B, 96.
+  EXPECT_EQ(e.events_processed(), 8u);
+  EXPECT_EQ(e.now(), 96u);
 }
 
 // --- Allocation-free steady state ---

@@ -21,6 +21,13 @@ struct Rig {
         reclaimer(&engine, &core, &mm, qp, ro) {}
 };
 
+// Parks the calling fiber as a frame waiter until a released frame wakes it.
+void WaitForFrame(Rig& rig) {
+  UnithreadContext* self = rig.engine.current_context();
+  rig.mm.AddFrameWaiter([&rig, self] { rig.engine.ResumeLater(self); });
+  rig.engine.SuspendCurrent();
+}
+
 MemoryManager::Options Opts() {
   MemoryManager::Options o;
   o.total_pages = 256;
@@ -38,7 +45,7 @@ TEST(Reclaimer, ProactiveKeepsFreeFramesAvailable) {
   rig.engine.SpawnFiber("allocator", [&] {
     for (int i = 0; i < 200; ++i) {
       while (!rig.mm.HasFreeFrame()) {
-        rig.mm.frame_waiters().Wait();
+        WaitForFrame(rig);
       }
       rig.mm.BeginFetch(next_page);
       rig.mm.CompleteFetch(next_page);
@@ -60,7 +67,7 @@ TEST(Reclaimer, DirtyPagesAreWrittenBack) {
   rig.engine.SpawnFiber("allocator", [&] {
     for (int i = 0; i < 100; ++i) {
       while (!rig.mm.HasFreeFrame()) {
-        rig.mm.frame_waiters().Wait();
+        WaitForFrame(rig);
       }
       rig.mm.BeginFetch(next_page);
       rig.mm.CompleteFetch(next_page);
@@ -95,7 +102,7 @@ TEST(Reclaimer, WakeupDelayedModeRespondsSlower) {
           if (first_stall == 0) {
             first_stall = rig.engine.now();
           }
-          rig.mm.frame_waiters().Wait();
+          WaitForFrame(rig);
         }
         rig.mm.BeginFetch(next_page);
         rig.mm.CompleteFetch(next_page);
