@@ -79,7 +79,6 @@ SystemConfig DatapathConfig(bool lockfree, uint32_t workers) {
     cfg.sync_cas_ns = 30;
     cfg.clock_shards = 8;
     cfg.frame_cache_size = 16;
-    cfg.evict_scan_budget = 256;
   } else {
     // The serialized baseline: one page-table lock, every access — hit or
     // miss — holds it. Throughput through the paging layer is capped at

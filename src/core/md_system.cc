@@ -36,7 +36,6 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   mm_opts.reclaim_high_watermark = config_.reclaim_high_watermark;
   mm_opts.clock_shards = config_.clock_shards;
   mm_opts.frame_cache_size = config_.frame_cache_size;
-  mm_opts.evict_scan_budget = config_.evict_scan_budget;
   mm_opts.sync_model = config_.sync_model;
   mm_opts.sync_hold_ns = config_.sync_hold_ns;
   mm_opts.sync_cas_ns = config_.sync_cas_ns;

@@ -89,8 +89,6 @@ struct SystemConfig {
   uint32_t clock_shards = 0;
   // Per-worker free-frame credit cache size; 0 disables the caches.
   uint32_t frame_cache_size = 0;
-  // Bound on clock slots scanned per victim selection; 0 = full sweep.
-  uint32_t evict_scan_budget = 0;
   // Synchronization-cost model for paging ops and its parameters
   // (nanoseconds, decoupled from the CPU clock).
   MmSyncModel sync_model = MmSyncModel::kNone;

@@ -157,7 +157,7 @@ uint64_t MemoryManager::SelectVictim() {
     }
     return vpage;
   }
-  return page_table_.SelectVictim(options_.evict_scan_budget);
+  return page_table_.SelectVictim();
 }
 
 void MemoryManager::AddFetchWaiter(uint64_t vpage, FetchWaiter resume, bool early) {

@@ -72,10 +72,6 @@ class MemoryManager {
     // Per-worker free-frame credit cache size, refilled/spilled in batches
     // from the shared pool. 0 disables the caches (seed-identical).
     uint32_t frame_cache_size = 0;
-    // Bound on clock-hand slots scanned per SelectVictim() call; the scan
-    // returns a retry signal instead of sweeping the whole table. 0 keeps
-    // the legacy full sweep.
-    uint32_t evict_scan_budget = 0;
     // Synchronization-cost model and its parameters (both in nanoseconds so
     // they stay decoupled from the CPU clock).
     MmSyncModel sync_model = MmSyncModel::kNone;
@@ -301,9 +297,8 @@ class MemoryManager {
 
   // Victim selection: untouched prefetched-resident pages first (FIFO order
   // — the oldest unproven prefetch is the cheapest frame to reclaim), then
-  // the page table's clock, bounded by evict_scan_budget when set.
-  // page_table().num_pages() when none evictable within the budget (the
-  // caller backs off and retries).
+  // the page table's clock. page_table().num_pages() when nothing is
+  // evictable (the caller backs off and retries).
   ADIOS_NO_SUSPEND uint64_t SelectVictim();
 
   // Unmaps `vpage`. Returns true when the page was dirty: the caller must

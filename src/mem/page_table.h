@@ -215,17 +215,16 @@ class PageTable {
 
   // Clock-algorithm victim selection: advances the hand, demoting referenced
   // pages (kPresent -> kMarked, the second chance), until an unreferenced
-  // unpinned resident page is found. Returns num_pages() when the scan
-  // budget expires without a victim — the caller backs off and retries
-  // rather than stalling on an O(num_pages) sweep. budget == 0 means the
-  // legacy full sweep (2x the table / 2x the resident set).
-  uint64_t SelectVictim(uint64_t budget = 0) {
+  // unpinned resident page is found. The scan is bounded by a full sweep
+  // (2x the table / 2x the resident set: one pass to demote, one to pick);
+  // num_pages() means nothing is evictable — every resident page is pinned
+  // or mid-eviction — and the caller backs off and retries.
+  uint64_t SelectVictim() {
     if (resident_set_ != nullptr) {
-      return SelectVictimSharded(budget);
+      return SelectVictimSharded();
     }
     const uint64_t n = words_.size();
-    const uint64_t limit = budget > 0 ? budget : 2 * n;
-    for (uint64_t scanned = 0; scanned < limit; ++scanned) {
+    for (uint64_t scanned = 0; scanned < 2 * n; ++scanned) {
       const uint64_t v = hand_;
       hand_ = (hand_ + 1) % n;
       const PageInfo info = words_[v].Load();
@@ -277,9 +276,9 @@ class PageTable {
   // Sharded clock: rotate the hand shard on every call so pressure spreads
   // across the resident set. One in-sim evictor scans all shards round-robin;
   // the structure supports one hand per worker under real threads.
-  uint64_t SelectVictimSharded(uint64_t budget) {
+  uint64_t SelectVictimSharded() {
     const uint64_t n = words_.size();
-    const uint64_t limit = budget > 0 ? budget : 2 * resident_set_->capacity();
+    const uint64_t limit = 2 * resident_set_->capacity();
     const uint32_t shard_count = resident_set_->shards();
     uint64_t victim = n;
     uint64_t scanned = 0;

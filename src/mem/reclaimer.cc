@@ -10,7 +10,8 @@ Reclaimer::Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair
       qp_(qp),
       options_(options),
       sleep_queue_(engine),
-      cq_wait_(engine) {}
+      cq_wait_(engine),
+      ops_(engine, this, options.retry) {}
 
 void Reclaimer::Start() {
   mm_->set_reclaim_kick([this] {
@@ -92,20 +93,10 @@ void Reclaimer::DrainWriteCompletions() {
       }
       ADIOS_DCHECK(c.type == WorkType::kWrite);
       if (options_.retry.enabled) {
-        auto it = pending_wb_.find(c.wr_id);
-        if (it == pending_wb_.end()) {
-          continue;  // Late completion for a write-back that already settled.
+        if (ops_.OnCompletion(c) == nullptr) {
+          continue;  // Late or duplicate (dropped), or an error the table took.
         }
-        if (!c.ok()) {
-          if (health_ != nullptr) {
-            health_->ReportError(c.node);
-          }
-          it->second.deadline.Cancel();
-          RetryOrDropWriteback(c.wr_id);
-          continue;
-        }
-        it->second.deadline.Cancel();
-        pending_wb_.erase(it);
+        ops_.Settle(c.wr_id);
       }
       if (health_ != nullptr) {
         health_->ReportSuccess(c.node);
@@ -125,77 +116,50 @@ void Reclaimer::DrainWriteCompletions() {
   }
 }
 
-void Reclaimer::TrackWriteback(uint64_t wr_id) {
-  PendingWriteback& pw = pending_wb_[wr_id];
-  pw.attempts = 1;
-  pw.backoff_ns = options_.retry.backoff_base_ns;
-  pw.repost_pending = false;
-  pw.deadline = engine_->ScheduleCancellable(
-      options_.retry.timeout_ns, [this, wr_id] { OnWritebackDeadline(wr_id); });
-}
-
-void Reclaimer::OnWritebackDeadline(uint64_t wr_id) {
-  auto it = pending_wb_.find(wr_id);
-  if (it == pending_wb_.end()) {
-    return;  // Settled just before the deadline event ran.
-  }
-  ++writeback_timeouts_;
-  if (health_ != nullptr) {
-    health_->ReportTimeout(WbNodeOf(wr_id));
-  }
-  RetryOrDropWriteback(wr_id);
-}
-
-void Reclaimer::RetryOrDropWriteback(uint64_t wr_id) {
-  auto it = pending_wb_.find(wr_id);
-  if (it == pending_wb_.end()) {
-    return;
-  }
-  PendingWriteback& pw = it->second;
-  if (pw.repost_pending) {
-    return;  // An error completion raced with the deadline; one repost suffices.
-  }
-  if (pw.attempts > options_.retry.MaxRetriesFor(TrafficClass::kBackground)) {
-    // Budget exhausted: drop this replica's WRITE. The replica diverges (the
-    // re-silver pass repairs it later); the page's frame is released once
-    // the remaining replicas settle. Single-node systems have exactly one
-    // replica, so the drop is the legacy writeback_abort.
-    pw.deadline.Cancel();
-    pending_wb_.erase(it);
-    const uint64_t vpage = WbPageOf(wr_id);
-    if (placement_ != nullptr) {
-      placement_->MarkOutOfSync(vpage, WbNodeOf(wr_id));
-    }
-    FinishWbReplica(vpage, /*success=*/false);
-    // The drop happens off a timer, not a CQ push, so wake the loop
-    // ourselves: it may be parked in cq_wait_ waiting for this write-back.
-    cq_wait_.NotifyAll();
-    sleep_queue_.NotifyAll();
-    return;
-  }
-  ++pw.attempts;
-  ++writeback_retries_;
-  const SimDuration backoff = pw.backoff_ns;
-  pw.backoff_ns = options_.retry.NextBackoff(backoff);
-  pw.repost_pending = true;
-  engine_->Schedule(backoff, [this, wr_id] { RepostWriteback(wr_id); });
-}
-
-void Reclaimer::RepostWriteback(uint64_t wr_id) {
-  auto it = pending_wb_.find(wr_id);
-  if (it == pending_wb_.end()) {
-    return;
-  }
-  if (!qp_->PostWrite(mm_->page_bytes(), wr_id, WbNodeOf(wr_id), TrafficClass::kBackground)) {
-    engine_->Schedule(1000, [this, wr_id] { RepostWriteback(wr_id); });
-    return;
+bool Reclaimer::PostPageWrite(uint64_t wr_id, uint64_t vpage, uint32_t node) {
+  if (!qp_->PostWrite(mm_->page_bytes(), wr_id, node, TrafficClass::kBackground)) {
+    return false;
   }
   if (integrity_ != nullptr) {
-    integrity_->OnWritePosted(wr_id, WbPageOf(wr_id));
+    // Snapshot the digest this WRITE carries at post time — the page may be
+    // re-fetched and re-dirtied before it completes.
+    integrity_->OnWritePosted(wr_id, vpage);
   }
-  it->second.repost_pending = false;
-  it->second.deadline = engine_->ScheduleCancellable(
-      options_.retry.timeout_ns, [this, wr_id] { OnWritebackDeadline(wr_id); });
+  return true;
+}
+
+bool Reclaimer::PostOp(const OpTable::Op& op) {
+  // Only write-backs repost: re-silver copies are single-shot.
+  ADIOS_DCHECK(!IsResilverId(op.wr_id));
+  return PostPageWrite(op.wr_id, WbPageOf(op.wr_id), op.node);
+}
+
+bool Reclaimer::OnBudgetSpent(OpTable::Op& op, bool exhausted) {
+  if (!exhausted) {
+    return false;  // A write-back has one target: retry it, suspect or not.
+  }
+  if (IsResilverId(op.wr_id)) {
+    auto it = resilver_ops_.find(op.wr_id);
+    ADIOS_DCHECK(it != resilver_ops_.end());
+    ResilverOp rop = it->second;
+    resilver_ops_.erase(it);
+    AbandonOrRequeueResilver(rop);
+    return false;
+  }
+  // Budget exhausted: drop this replica's WRITE. The replica diverges (the
+  // re-silver pass repairs it later); the page's frame is released once the
+  // remaining replicas settle. Single-node systems have exactly one replica,
+  // so the drop is the legacy writeback_abort.
+  const uint64_t vpage = WbPageOf(op.wr_id);
+  if (placement_ != nullptr) {
+    placement_->MarkOutOfSync(vpage, op.node);
+  }
+  FinishWbReplica(vpage, /*success=*/false);
+  // The drop happens off a timer, not a CQ push, so wake the loop
+  // ourselves: it may be parked in cq_wait_ waiting for this write-back.
+  cq_wait_.NotifyAll();
+  sleep_queue_.NotifyAll();
+  return false;
 }
 
 void Reclaimer::Loop() {
@@ -260,17 +224,12 @@ void Reclaimer::Loop() {
               WbPage{static_cast<uint32_t>(wb_targets_scratch_.size()), 0};
           for (const uint32_t node : wb_targets_scratch_) {
             const uint64_t wr_id = WbId(victim, node);
-            while (!qp_->PostWrite(mm_->page_bytes(), wr_id, node, TrafficClass::kBackground)) {
+            while (!PostPageWrite(wr_id, victim, node)) {
               cq_wait_.Wait();
               DrainWriteCompletions();
             }
-            if (integrity_ != nullptr) {
-              // Snapshot the digest this WRITE carries at post time — the
-              // page may be re-fetched and re-dirtied before it completes.
-              integrity_->OnWritePosted(wr_id, victim);
-            }
             if (options_.retry.enabled) {
-              TrackWriteback(wr_id);
+              ops_.Track(wr_id, node, TrafficClass::kBackground);
             }
           }
         }
@@ -363,7 +322,6 @@ void Reclaimer::StartResilverWork(const ResilverWork& work) {
       ResilverOp op;
       op.vpage = work.vpage;
       op.target = work.target;
-      op.src = work.target;  // Unused on the resident path.
       op.attempts = work.attempts;
       op.pinned = true;
       PostResilverWrite(std::move(op));
@@ -414,12 +372,10 @@ void Reclaimer::StartResilverWork(const ResilverWork& work) {
       ResilverOp op;
       op.vpage = work.vpage;
       op.target = work.target;
-      op.src = src;
       op.attempts = work.attempts;
       op.has_frame = true;
-      op.deadline = engine_->ScheduleCancellable(
-          ResilverTimeoutNs(), [this, wr_id] { OnResilverDeadline(wr_id); });
-      resilver_ops_[wr_id] = std::move(op);
+      resilver_ops_[wr_id] = op;
+      ops_.TrackOnce(wr_id, src, TrafficClass::kBackground, ResilverTimeoutNs());
       return;
     }
   }
@@ -428,40 +384,31 @@ void Reclaimer::StartResilverWork(const ResilverWork& work) {
 void Reclaimer::PostResilverWrite(ResilverOp op) {
   const uint64_t wr_id = ResilverId(op.vpage, op.target);
   if (resilver_ops_.find(wr_id) != resilver_ops_.end() ||
-      !qp_->PostWrite(mm_->page_bytes(), wr_id, op.target, TrafficClass::kBackground)) {
+      !PostPageWrite(wr_id, op.vpage, op.target)) {
     // wr_id busy (duplicate work item) or QP full; retry shortly. Resources
     // (pin / bounce frame) stay held by the carried op.
     engine_->Schedule(1000, [this, op] { PostResilverWrite(op); });
     return;
   }
-  if (integrity_ != nullptr) {
-    integrity_->OnWritePosted(wr_id, op.vpage);
-  }
-  op.write_stage = true;
-  op.deadline = engine_->ScheduleCancellable(
-      ResilverTimeoutNs(), [this, wr_id] { OnResilverDeadline(wr_id); });
-  resilver_ops_[wr_id] = std::move(op);
+  resilver_ops_[wr_id] = op;
+  ops_.TrackOnce(wr_id, op.target, TrafficClass::kBackground, ResilverTimeoutNs());
 }
 
 void Reclaimer::OnResilverCompletion(const Completion& c) {
-  auto it = resilver_ops_.find(c.wr_id);
-  if (it == resilver_ops_.end()) {
-    return;  // Late completion of an op that timed out and was abandoned.
-  }
-  ResilverOp op = std::move(it->second);
-  op.deadline.Cancel();
-  resilver_ops_.erase(it);
-  if (!c.ok()) {
-    if (health_ != nullptr) {
-      health_->ReportError(c.node);
-    }
-    AbandonOrRequeueResilver(std::move(op));
+  if (ops_.OnCompletion(c) == nullptr) {
+    // Late completion of an op that timed out and was abandoned, or an error
+    // the table handed to OnBudgetSpent.
     return;
   }
+  ops_.Settle(c.wr_id);
+  auto it = resilver_ops_.find(c.wr_id);
+  ADIOS_DCHECK(it != resilver_ops_.end());
+  ResilverOp op = it->second;
+  resilver_ops_.erase(it);
   if (health_ != nullptr) {
     health_->ReportSuccess(c.node);
   }
-  if (!op.write_stage) {
+  if (c.type == WorkType::kRead) {
     // READ landed in the bounce frame. Verify the source payload before
     // propagating it: re-silvering from a corrupt copy would overwrite the
     // target's replica with garbage. The recompute-vs-digest comparison is
@@ -470,17 +417,17 @@ void Reclaimer::OnResilverCompletion(const Completion& c) {
     // is exact either way.
     if (integrity_ != nullptr) {
       const bool clean = integrity_->CheckPayload(
-          c.wr_id, op.vpage, op.src,
+          c.wr_id, op.vpage, c.node,
           /*recompute=*/mm_->StateOf(op.vpage) == PageState::kRemote);
       if (!clean) {
         if (tracer_ != nullptr) {
-          tracer_->Record(engine_->now(), 0, TraceEvent::kCorrupt, op.src);
+          tracer_->Record(engine_->now(), 0, TraceEvent::kCorrupt, c.node);
         }
-        placement_->MarkOutOfSync(op.vpage, op.src);
+        placement_->MarkOutOfSync(op.vpage, c.node);
         if (health_ != nullptr) {
-          health_->ReportCorruption(op.src);
+          health_->ReportCorruption(c.node);
         }
-        integrity_->OnCorruptionDetected(op.vpage, op.src, /*from_scrub=*/false);
+        integrity_->OnCorruptionDetected(op.vpage, c.node, /*from_scrub=*/false);
         // Requeue the target work item: the next attempt picks a different
         // in-sync source (or gives up when none remains).
         AbandonOrRequeueResilver(std::move(op));
@@ -499,19 +446,6 @@ void Reclaimer::OnResilverCompletion(const Completion& c) {
   }
   ++pages_resilvered_;
   FinishResilverPage(op.target);
-}
-
-void Reclaimer::OnResilverDeadline(uint64_t wr_id) {
-  auto it = resilver_ops_.find(wr_id);
-  if (it == resilver_ops_.end()) {
-    return;
-  }
-  ResilverOp op = std::move(it->second);
-  resilver_ops_.erase(it);
-  if (health_ != nullptr) {
-    health_->ReportTimeout(op.write_stage ? op.target : op.src);
-  }
-  AbandonOrRequeueResilver(std::move(op));
 }
 
 void Reclaimer::AbandonOrRequeueResilver(ResilverOp op) {
@@ -679,7 +613,6 @@ void Reclaimer::OnScrubCompletion(const Completion& c) {
     health_->ReportSuccess(c.node);
   }
   integrity_->OnScrubPage();
-  ++scrub_pages_scanned_;
   // The digest comparison only means something while the stored copy is
   // still the authoritative version (page remote); wire/poison evidence is
   // exact regardless.

@@ -30,6 +30,7 @@
 #include "src/mem/remote_heap.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/node_health.h"
+#include "src/rdma/op_table.h"
 #include "src/rdma/params.h"
 #include "src/sim/cpu_core.h"
 #include "src/sim/trace.h"
@@ -37,7 +38,7 @@
 
 namespace adios {
 
-class Reclaimer {
+class Reclaimer final : private OpTable::Issuer {
  public:
   struct Options {
     bool proactive = true;          // Pinned thread, immediate response.
@@ -74,7 +75,10 @@ class Reclaimer {
   // Replication wiring (both null on a single-node system; the write-back
   // path then targets node 0 only and BeginResilver must not be called).
   void set_placement(PlacementMap* placement) { placement_ = placement; }
-  void set_node_health(NodeHealthMonitor* health) { health_ = health; }
+  void set_node_health(NodeHealthMonitor* health) {
+    health_ = health;
+    ops_.set_node_health(health);
+  }
   // Integrity wiring (docs/INTEGRITY.md): write-back completions refresh the
   // checksum map, re-silver source reads are verified, and the scrubber
   // checks every page it touches. Null = no integrity bookkeeping.
@@ -99,8 +103,8 @@ class Reclaimer {
 
   uint64_t pages_reclaimed() const { return pages_reclaimed_; }
   uint64_t writebacks_inflight() const { return writebacks_inflight_; }
-  uint64_t writeback_timeouts() const { return writeback_timeouts_; }
-  uint64_t writeback_retries() const { return writeback_retries_; }
+  uint64_t writeback_timeouts() const { return ops_.timeouts(); }
+  uint64_t writeback_retries() const { return ops_.retries(); }
   uint64_t writeback_aborts() const { return writeback_aborts_; }
   uint64_t pages_resilvered() const { return pages_resilvered_; }
   uint64_t resilver_failures() const { return resilver_failures_; }
@@ -110,8 +114,6 @@ class Reclaimer {
   // Bounce frames currently reserved for in-flight scrub reads (also a
   // frame-conservation term).
   uint64_t scrub_frames_held() const { return scrub_frames_; }
-  // Scrub reads completed and verified.
-  uint64_t scrub_pages_scanned() const { return scrub_pages_scanned_; }
   // Pages with a write-back fan-out in flight; each holds exactly one frame,
   // so this must equal writebacks_inflight() (audited).
   uint64_t writeback_pages_tracked() const { return wb_pages_.size(); }
@@ -159,21 +161,21 @@ class Reclaimer {
   // page's frame is released.
   void FinishWbReplica(uint64_t vpage, bool success);
 
-  // --- Write-back deadline/retry pipeline (mirrors the worker's fetch
-  // pipeline; state machine documented in docs/FAULT_MODEL.md), keyed by
-  // the (vpage, node) wr_id ---
-  struct PendingWriteback {
-    uint32_t attempts = 1;
-    SimDuration backoff_ns = 0;
-    bool repost_pending = false;
-    Engine::EventHandle deadline;
-  };
-  void TrackWriteback(uint64_t wr_id);
-  void OnWritebackDeadline(uint64_t wr_id);
-  // Retries while budget remains; otherwise drops this replica's WRITE (the
-  // replica diverges; the frame is released once the other replicas settle).
-  void RetryOrDropWriteback(uint64_t wr_id);
-  void RepostWriteback(uint64_t wr_id);
+  // Posts one background WRITE of `vpage` (QP-full: false) and records the
+  // digest it carries. Every write-back and re-silver WRITE goes through it.
+  bool PostPageWrite(uint64_t wr_id, uint64_t vpage, uint32_t node);
+
+  // --- OpTable::Issuer hooks (docs/FAULT_MODEL.md §4). Write-backs track
+  // under the RetryPolicy when it is enabled, keyed by their (vpage, node)
+  // wr_id; re-silver copies always track, single-shot, under their
+  // ResilverId. ---
+
+  // Reposts a write-back WRITE; false when the QP is full.
+  bool PostOp(const OpTable::Op& op) override;
+  // Budget spent: drops a write-back's replica (it diverges; the frame is
+  // released once the other replicas settle), or requeues/abandons a
+  // re-silver copy.
+  bool OnBudgetSpent(OpTable::Op& op, bool exhausted) override;
 
   // --- Re-silver pass ---
   struct ResilverWork {
@@ -181,17 +183,15 @@ class Reclaimer {
     uint32_t target = 0;   // Node whose replica is being restored.
     uint32_t attempts = 0; // Error/timeout requeues so far.
   };
-  // One in-flight re-silver WQE (READ from src into a bounce frame, or
-  // WRITE toward target from the bounce frame / a resident page).
+  // The resources of one in-flight re-silver WQE (READ from a source replica
+  // into a bounce frame, or WRITE toward target from the bounce frame / a
+  // resident page). The op's node and deadline live in the OpTable.
   struct ResilverOp {
     uint64_t vpage = 0;
     uint32_t target = 0;
-    uint32_t src = 0;
     uint32_t attempts = 0;
-    bool write_stage = false;  // false: READ from src in flight.
     bool pinned = false;       // Resident page pinned for the WRITE.
     bool has_frame = false;    // Bounce frame reserved.
-    Engine::EventHandle deadline;
   };
 
   SimDuration ResilverIntervalNs() const {
@@ -205,7 +205,6 @@ class Reclaimer {
   void StartResilverWork(const ResilverWork& work);
   void PostResilverWrite(ResilverOp op);
   void OnResilverCompletion(const Completion& c);
-  void OnResilverDeadline(uint64_t wr_id);
   void AbandonOrRequeueResilver(ResilverOp op);
   void ReleaseResilverResources(ResilverOp& op);
   // Decrements `target`'s pending count; at zero notifies the monitor.
@@ -246,14 +245,12 @@ class Reclaimer {
   bool kicked_ = false;
   uint64_t pages_reclaimed_ = 0;
   uint64_t writebacks_inflight_ = 0;
-  std::unordered_map<uint64_t, PendingWriteback> pending_wb_;  // By wr_id.
+  OpTable ops_;  // In-flight write-backs (retry on) and re-silver copies.
   struct WbPage {
     uint32_t remaining = 0;  // Replica WQEs still unsettled.
     uint32_t succeeded = 0;  // Replica WQEs that completed OK.
   };
   std::unordered_map<uint64_t, WbPage> wb_pages_;  // By vpage.
-  uint64_t writeback_timeouts_ = 0;
-  uint64_t writeback_retries_ = 0;
   uint64_t writeback_aborts_ = 0;
   std::vector<uint32_t> wb_targets_scratch_;
   std::vector<Completion> wb_batch_;  // DrainWriteCompletions poll scratch.
@@ -276,7 +273,6 @@ class Reclaimer {
   uint32_t scrub_finds_in_pass_ = 0;
   uint64_t scrub_pass_ = 0;
   uint64_t scrub_frames_ = 0;
-  uint64_t scrub_pages_scanned_ = 0;
 };
 
 }  // namespace adios

@@ -22,7 +22,8 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       client_cq_wait_(engine),
       prefetcher_(MakePrefetcher(config.prefetch_policy, config.prefetch_window,
                                  config.prefetch_history, static_cast<uint16_t>(index))),
-      rng_(config.seed * 7919 + index) {
+      rng_(config.seed * 7919 + index),
+      ops_(engine, this, config.retry) {
   mem_qp_->cq()->set_on_push([this] {
     mem_cq_wait_.NotifyAll();
     events_.NotifyAll();
@@ -247,9 +248,9 @@ void Worker::RegisterMetrics(MetricRegistry* registry) {
   registry->RegisterProbe("worker.qp_full_stalls", labels,
                           [this] { return static_cast<double>(qp_full_stalls_); });
   registry->RegisterProbe("worker.fetch_timeouts", labels,
-                          [this] { return static_cast<double>(fetch_timeouts_); });
+                          [this] { return static_cast<double>(fetch_timeouts()); });
   registry->RegisterProbe("worker.fetch_retries", labels,
-                          [this] { return static_cast<double>(fetch_retries_); });
+                          [this] { return static_cast<double>(fetch_retries()); });
   registry->RegisterProbe("worker.failovers", labels,
                           [this] { return static_cast<double>(failovers_); });
   registry->RegisterProbe("worker.corruptions", labels,
@@ -271,92 +272,58 @@ void Worker::Access(RemoteAddr addr, uint64_t len, bool write) {
   }
 }
 
-void Worker::TrackFetch(uint64_t vpage, uint32_t node, TrafficClass cls) {
-  PendingFetch& pf = pending_fetch_[vpage];
-  pf.attempts = 1;
-  pf.req_id = running_ != nullptr ? running_->req->id : 0;
-  pf.backoff_ns = cfg_.retry.backoff_base_ns;
-  pf.node = node;
-  pf.failovers = 0;
-  pf.cls = cls;
-  pf.deadline = engine_->ScheduleCancellable(cfg_.retry.timeout_ns,
-                                             [this, vpage] { OnFetchDeadline(vpage); });
-}
-
-void Worker::OnFetchDeadline(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  if (it == pending_fetch_.end()) {
-    return;  // Settled just before the deadline event ran.
-  }
-  ++fetch_timeouts_;
-  if (health_ != nullptr) {
-    health_->ReportTimeout(it->second.node);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), it->second.req_id, TraceEvent::kFetchTimeout,
-                    static_cast<uint32_t>(vpage));
-  }
-  ScheduleRetryOrFail(vpage);
-}
-
-void Worker::ScheduleRetryOrFail(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  if (it == pending_fetch_.end()) {
-    return;
-  }
-  PendingFetch& pf = it->second;
-  if (pf.repost_pending) {
-    return;  // An error completion raced with the deadline; one repost suffices.
-  }
-  // Failover beats both giving up and pointless persistence: once the retry
-  // budget is spent — or the node serving this fetch is suspected/dead — the
-  // fetch moves to another in-sync replica with a fresh budget instead of
-  // burning backoff rounds against a black hole.
-  const bool exhausted = pf.attempts > cfg_.retry.MaxRetriesFor(pf.cls);
-  const bool node_bad = health_ != nullptr && health_->SuspectOrWorse(pf.node);
-  if ((exhausted || node_bad) && TryFailover(vpage, pf)) {
-    return;
-  }
-  if (exhausted) {
-    FailFetch(vpage);
-    return;
-  }
-  ++pf.attempts;
-  ++fetch_retries_;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), pf.req_id, TraceEvent::kRetry, pf.attempts);
-  }
-  const SimDuration backoff = pf.backoff_ns;
-  pf.backoff_ns = cfg_.retry.NextBackoff(backoff);
-  pf.repost_pending = true;
-  // Retries run off the engine clock, not the worker fiber: the repost is
-  // doorbell-cheap and a real implementation would issue it from whichever
-  // context notices the timeout, so no worker CPU is charged.
-  engine_->Schedule(backoff, [this, vpage] { RepostFetch(vpage); });
-}
-
-void Worker::RepostFetch(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  if (it == pending_fetch_.end()) {
-    return;  // A delayed completion landed during the backoff.
-  }
-  ADIOS_DCHECK(mm_->StateOf(vpage) == PageState::kFetching);
-  if (!mem_qp_->PostRead(mm_->page_bytes(), vpage, it->second.node, it->second.cls)) {
+bool Worker::PostOp(const OpTable::Op& op) {
+  ADIOS_DCHECK(mm_->StateOf(op.wr_id) == PageState::kFetching);
+  if (!mem_qp_->PostRead(mm_->page_bytes(), op.wr_id, op.node, op.cls)) {
     ++qp_full_stalls_;
-    engine_->Schedule(1000, [this, vpage] { RepostFetch(vpage); });
-    return;
+    return false;
   }
-  it->second.repost_pending = false;
-  it->second.deadline = engine_->ScheduleCancellable(
-      cfg_.retry.timeout_ns, [this, vpage] { OnFetchDeadline(vpage); });
+  return true;
 }
 
-void Worker::FailFetch(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  ADIOS_DCHECK(it != pending_fetch_.end());
-  it->second.deadline.Cancel();
-  pending_fetch_.erase(it);
-  mm_->AbortFetch(vpage);
+bool Worker::OnBudgetSpent(OpTable::Op& op, bool exhausted) {
+  // Fail over to another in-sync replica: a suspect one is better than the
+  // one that just failed; a dead one is never chosen. Once every replica had
+  // its chance, give up for real.
+  uint32_t best = kNoNode;
+  if (placement_ != nullptr && health_ != nullptr && op.failovers < placement_->replicas()) {
+    best = PickReplica(op.wr_id, op.node);
+  }
+  if (best == kNoNode) {
+    if (exhausted) {
+      // Abandon the fetch; its waiters fail their requests.
+      mm_->AbortFetch(op.wr_id);
+    }
+    return false;
+  }
+  ++op.failovers;
+  ++failovers_;
+  op.node = best;
+  if (tracer_ != nullptr) {
+    tracer_->Record(engine_->now(), op.req_id, TraceEvent::kFailover, best);
+  }
+  return true;
+}
+
+uint32_t Worker::PickReplica(uint64_t vpage, uint32_t exclude) const {
+  uint32_t suspect = kNoNode;
+  for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
+    const uint32_t node = placement_->ReplicaNode(vpage, slot);
+    if (node == exclude || !placement_->InSync(vpage, node)) {
+      continue;
+    }
+    if (health_ == nullptr) {
+      return node;
+    }
+    const NodeHealth h = health_->StateOf(node);
+    if (h == NodeHealth::kHealthy || h == NodeHealth::kResilvering) {
+      return node;
+    }
+    if (h == NodeHealth::kSuspect && suspect == kNoNode) {
+      suspect = node;
+    }
+  }
+  return suspect;
 }
 
 uint32_t Worker::ChooseReadNode(uint64_t vpage) const {
@@ -368,68 +335,8 @@ uint32_t Worker::ChooseReadNode(uint64_t vpage) const {
   // read the primary. An in-sync copy on a merely-suspect node is kept as
   // fallback; with every replica dead we still aim at the primary and let
   // the retry pipeline surface the failure.
-  uint32_t fallback = placement_->Primary(vpage);
-  bool fallback_in_sync = false;
-  for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
-    const uint32_t node = placement_->ReplicaNode(vpage, slot);
-    if (!placement_->InSync(vpage, node)) {
-      continue;
-    }
-    if (health_ == nullptr) {
-      return node;
-    }
-    const NodeHealth h = health_->StateOf(node);
-    if (h == NodeHealth::kHealthy || h == NodeHealth::kResilvering) {
-      return node;
-    }
-    if (h == NodeHealth::kSuspect && !fallback_in_sync) {
-      fallback = node;
-      fallback_in_sync = true;
-    }
-  }
-  return fallback;
-}
-
-bool Worker::TryFailover(uint64_t vpage, PendingFetch& pf) {
-  if (placement_ == nullptr || health_ == nullptr) {
-    return false;
-  }
-  if (pf.failovers >= placement_->replicas()) {
-    return false;  // Every replica had its chance; give up for real.
-  }
-  constexpr uint32_t kNone = ~0u;
-  uint32_t best = kNone;
-  for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
-    const uint32_t node = placement_->ReplicaNode(vpage, slot);
-    if (node == pf.node || !placement_->InSync(vpage, node)) {
-      continue;
-    }
-    const NodeHealth h = health_->StateOf(node);
-    if (h == NodeHealth::kDead) {
-      continue;
-    }
-    if (h == NodeHealth::kHealthy || h == NodeHealth::kResilvering) {
-      best = node;
-      break;
-    }
-    if (best == kNone) {
-      best = node;  // Suspect replica: better than the one that just failed.
-    }
-  }
-  if (best == kNone) {
-    return false;
-  }
-  ++pf.failovers;
-  ++failovers_;
-  pf.node = best;
-  pf.attempts = 1;  // The new replica gets the full retry budget.
-  pf.backoff_ns = cfg_.retry.backoff_base_ns;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), pf.req_id, TraceEvent::kFailover, best);
-  }
-  pf.repost_pending = true;
-  engine_->Schedule(0, [this, vpage] { RepostFetch(vpage); });
-  return true;
+  const uint32_t node = PickReplica(vpage, kNoNode);
+  return node != kNoNode ? node : placement_->Primary(vpage);
 }
 
 void Worker::AccessPage(uint64_t vpage, bool write) {
@@ -630,7 +537,7 @@ void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {
     }
   }
   if (cfg_.retry.enabled) {
-    TrackFetch(vpage, node, cls);
+    ops_.Track(vpage, node, cls, running_->req->id);
   }
 }
 
@@ -677,7 +584,8 @@ void Worker::PostFaultReads(uint64_t vpage) {
       mem_qp_->PostReadBatch(mm_->page_bytes(), batch_ops_.data(), batch_ops_.size());
   if (cfg_.retry.enabled) {
     for (size_t i = 0; i < accepted; ++i) {
-      TrackFetch(batch_ops_[i].wr_id, batch_ops_[i].node, batch_ops_[i].cls);
+      ops_.Track(batch_ops_[i].wr_id, batch_ops_[i].node, batch_ops_[i].cls,
+                 running_->req->id);
     }
   }
   // Everything the send queue rejected — and candidates beyond the batch
@@ -709,11 +617,10 @@ size_t Worker::DrainMemCq() {
       if (batch[i].partial) {
         // Critical chunk landed (docs/QOS.md); the WQE is still outstanding
         // — the tail's final completion settles it. Early-resume readers now.
-        // Handled before the retry dedupe: the pending entry must survive.
+        // Handled before the retry dedupe: the op must stay tracked.
         if (tracer_ != nullptr && cfg_.retry.enabled) {
-          auto it = pending_fetch_.find(batch[i].wr_id);
-          if (it != pending_fetch_.end()) {
-            tracer_->Record(engine_->now(), it->second.req_id, TraceEvent::kChunkReady,
+          if (const OpTable::Op* op = ops_.Find(batch[i].wr_id)) {
+            tracer_->Record(engine_->now(), op->req_id, TraceEvent::kChunkReady,
                             static_cast<uint32_t>(batch[i].wr_id));
           }
         }
@@ -721,21 +628,9 @@ size_t Worker::DrainMemCq() {
         continue;
       }
       if (cfg_.retry.enabled) {
-        auto it = pending_fetch_.find(batch[i].wr_id);
-        if (it == pending_fetch_.end()) {
-          // Duplicate or late completion for a fetch that already settled
-          // (a retry won the race, or the fetch was aborted). Drop it.
-          continue;
-        }
-        if (!batch[i].ok()) {
-          // Transport-level failure (retry-exceeded or RNR NAK): the WQE is
-          // dead; decide software retry vs. giving up.
-          if (health_ != nullptr) {
-            health_->ReportError(batch[i].node);
-          }
-          it->second.deadline.Cancel();
-          ScheduleRetryOrFail(batch[i].wr_id);
-          continue;
+        const OpTable::Op* op = ops_.OnCompletion(batch[i]);
+        if (op == nullptr) {
+          continue;  // Late or duplicate (dropped), or an error the table took.
         }
         if (integrity_ != nullptr) {
           // Verify before mapping: recompute the page checksum against the
@@ -743,11 +638,11 @@ size_t Worker::DrainMemCq() {
           // charged to this core whether the page is clean or not.
           core_->Consume(integrity_->VerifyCost());
           // The verify suspended this context: a fetch deadline that fired
-          // meanwhile may have failed the fetch and erased its entry, so the
-          // iterator is re-found. A fetch settled that way drops this
-          // completion as late.
-          it = pending_fetch_.find(batch[i].wr_id);
-          if (it == pending_fetch_.end()) {
+          // meanwhile may have failed the fetch and dropped its op, so the
+          // op is re-found. A fetch settled that way drops this completion
+          // as late.
+          op = ops_.Find(batch[i].wr_id);
+          if (op == nullptr) {
             continue;
           }
           if (!integrity_->VerifyFetch(batch[i].wr_id, batch[i].wr_id, batch[i].node)) {
@@ -756,9 +651,8 @@ size_t Worker::DrainMemCq() {
             // evidence + failover to another in-sync replica, or abandon the
             // fetch when no copy remains (R1).
             ++corruptions_detected_;
-            PendingFetch& pf = it->second;
             if (tracer_ != nullptr) {
-              tracer_->Record(engine_->now(), pf.req_id, TraceEvent::kCorrupt,
+              tracer_->Record(engine_->now(), op->req_id, TraceEvent::kCorrupt,
                               batch[i].node);
             }
             if (placement_ != nullptr) {
@@ -769,15 +663,11 @@ size_t Worker::DrainMemCq() {
             }
             integrity_->OnCorruptionDetected(batch[i].wr_id, batch[i].node,
                                              /*from_scrub=*/false);
-            pf.deadline.Cancel();
-            if (!TryFailover(batch[i].wr_id, pf)) {
-              FailFetch(batch[i].wr_id);
-            }
+            ops_.Fail(batch[i].wr_id);
             continue;  // Never mapped, never reported healthy.
           }
         }
-        it->second.deadline.Cancel();
-        pending_fetch_.erase(it);
+        ops_.Settle(batch[i].wr_id);
       } else if (integrity_ != nullptr && batch[i].ok()) {
         // Retry pipeline off (oracle-only runs): nothing to fail over to,
         // but the ledger still records silently-served corruption.

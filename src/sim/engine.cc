@@ -36,7 +36,7 @@ void Engine::RunUntil(SimTime until) {
   while (UnithreadContext* next = Dispatch(/*run_callbacks=*/true)) {
     RawSwitch(&main_ctx_, next);
   }
-  if (until != ~0ull && now_ < until) {
+  if (until != ~0ull && !stopped_ && now_ < until) {
     now_ = until;
   }
   running_ = false;

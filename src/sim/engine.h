@@ -124,7 +124,9 @@ class Engine {
   // Runs events until the queue empties or Stop() is called.
   ADIOS_MAY_SUSPEND void Run();
   // Runs events with time <= until; leaves later events queued and sets
-  // now() to `until` when the horizon is reached.
+  // now() to `until` when the horizon is reached. A run cut short by Stop()
+  // leaves now() at the stop time, so earlier events queued behind it still
+  // pop in time order.
   ADIOS_MAY_SUSPEND void RunUntil(SimTime until);
   void Stop() { stopped_ = true; }
 

@@ -190,6 +190,24 @@ TEST(Engine, StopHaltsProcessing) {
   EXPECT_EQ(fired, 1);
 }
 
+// A finite-horizon run cut short by Stop() must leave the clock at the stop
+// time: moving it on to the horizon would let the next run pop the earlier
+// event still queued with the clock going backwards.
+TEST(Engine, StopInsideRunUntilLeavesClockAtStopTime) {
+  Engine e;
+  std::vector<SimTime> fired;
+  e.Schedule(10, [&] {
+    fired.push_back(e.now());
+    e.Stop();
+  });
+  e.Schedule(20, [&] { fired.push_back(e.now()); });
+  e.RunUntil(100);
+  EXPECT_EQ(e.now(), 10u);
+  e.Run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(e.now(), 20u);
+}
+
 TEST(Fiber, WaitAdvancesSimulatedTime) {
   Engine e;
   std::vector<SimTime> stamps;

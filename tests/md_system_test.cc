@@ -546,5 +546,24 @@ TEST(MdSystem, FrameWaitersNeverStrandBehindFreeFrames) {
   EXPECT_EQ(sys.memory_manager().frame_waiter_count(), 0u);
 }
 
+// Victim selection has no scan budget: a sharded clock scans until it finds
+// a victim or completes one full sweep. On the baseline array run (4 Mi
+// entries, 1.5 MRPS, bench timing) with 8 clock shards, the removed budget
+// knob cost 6.9 ms (budget 64) or 299 us (budget 256) at P99, with
+// thousands of frame stalls; with the full sweep P99 stays at the
+// knobs-off 7.8 us. The bound is twice that.
+TEST(MdSystem, ShardedClockBaselineKeepsTailAndNeverStallsOnFrames) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.clock_shards = 8;
+  ArrayApp::Options ao;
+  ao.entries = 4u << 20;
+  ArrayApp app(ao);
+  MdSystem sys(cfg, &app);
+  const RunResult r = sys.Run(1.5e6, Milliseconds(8), Milliseconds(25));
+  EXPECT_LE(r.e2e.P99(), 15600u);
+  EXPECT_EQ(sys.memory_manager().stats().frame_stalls, 0u);
+  EXPECT_EQ(r.dropped, 0u);
+}
+
 }  // namespace
 }  // namespace adios

@@ -76,22 +76,6 @@ TEST(PageTable, DirtyBitPreservedUntilRemap) {
   EXPECT_FALSE(pt.Info(0).dirty);  // Fresh mapping is clean.
 }
 
-TEST(PageTable, EvictScanBudgetReturnsRetrySignal) {
-  PageTable pt(64);
-  // One resident-but-referenced page far from the hand: a bounded scan must
-  // give up with the retry signal instead of sweeping the whole table.
-  pt.MarkFetching(60);
-  pt.MarkPresent(60);
-  pt.Pin(60);
-  EXPECT_EQ(pt.SelectVictim(/*budget=*/8), pt.num_pages());
-  // Unbounded scan still finds nothing (the only resident page is pinned).
-  pt.Unpin(60);
-  // With budget covering the page, two bounded calls resolve it: the first
-  // demotes the reference bit, a later one takes the victim.
-  EXPECT_EQ(pt.SelectVictim(/*budget=*/64), pt.num_pages());  // Second chance.
-  EXPECT_EQ(pt.SelectVictim(/*budget=*/64), 60u);
-}
-
 TEST(PageTable, ShardedClockFindsVictims) {
   PageTable pt(256, /*clock_shards=*/4);
   EXPECT_NE(pt.resident_set(), nullptr);
@@ -120,14 +104,13 @@ TEST(PageTable, ShardedClockFindsVictims) {
   EXPECT_EQ(pt.SelectVictim(), pt.num_pages());
 }
 
-TEST(PageTable, ShardedClockRespectsPinsAndBudget) {
+TEST(PageTable, ShardedClockRespectsPins) {
   PageTable pt(128, /*clock_shards=*/2);
   pt.MarkFetching(5);
   pt.MarkPresent(5);
   pt.Pin(5);
   // Demote the reference bit so the pin is the only protection.
   EXPECT_EQ(pt.SelectVictim(), pt.num_pages());
-  EXPECT_EQ(pt.SelectVictim(/*budget=*/4), pt.num_pages());
   pt.Unpin(5);
   EXPECT_EQ(pt.SelectVictim(), 5u);
 }

@@ -29,9 +29,10 @@ TEST(WorkerFlow, RemoteRequestRdmaWaitMatchesFetchLatency) {
 
 // A fetch deadline that fires while the worker verifies that fetch's
 // completion (the verify's Consume suspends the worker) fails the fetch and
-// erases its pending entry. DrainMemCq must re-find the entry after the
-// verify and drop the completion as late; holding the old iterator across
-// the verify reads a freed map node (the AddressSanitizer leg reports it).
+// drops its op from the worker's OpTable. DrainMemCq must re-find the op
+// after the verify and drop the completion as late; holding the old pointer
+// across the verify reads a freed map node (the AddressSanitizer leg
+// reports it).
 TEST(WorkerFlow, DeadlineInsideVerifyDropsCompletion) {
   SystemConfig cfg = SystemConfig::Adios();
   cfg.retry.enabled = true;
