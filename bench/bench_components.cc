@@ -12,6 +12,7 @@
 #include "src/base/histogram.h"
 #include "src/core/md_system.h"
 #include "src/base/rng.h"
+#include "src/integrity/integrity.h"
 #include "src/integrity/page_checksum.h"
 #include "src/mem/memory_manager.h"
 #include "src/rdma/fabric.h"
@@ -318,8 +319,8 @@ void BM_FairLinkEnqueueServe(benchmark::State& state) {
 }
 BENCHMARK(BM_FairLinkEnqueueServe);
 
-// One 4 KiB page digest, as integrity priming and every verified fetch
-// compute it.
+// One 4 KiB page digest, as integrity priming and a verified fetch of a page
+// written since its last hash compute it.
 void BM_PageChecksum4K(benchmark::State& state) {
   std::vector<uint8_t> page(4096);
   Rng rng(1);
@@ -332,6 +333,27 @@ void BM_PageChecksum4K(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(page.size()));
 }
 BENCHMARK(BM_PageChecksum4K);
+
+// A verified fetch of a page unwritten since it was last hashed: the region
+// digest comes from the write-generation memo, not the codec.
+void BM_VerifyFetchChecksumMemo(benchmark::State& state) {
+  constexpr uint64_t kPages = 64;
+  RemoteRegion region(kPages * kPageSize);
+  Rng rng(1);
+  for (RemoteAddr addr = 0; addr < region.size(); addr += 8) {
+    region.WriteObject<uint64_t>(addr, rng.Next());
+  }
+  IntegrityConfig cfg;
+  cfg.verify = true;
+  IntegrityLayer layer(cfg, &region, kPages, kPageSize, /*num_nodes=*/1, /*replicas=*/1);
+  uint64_t vpage = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.VerifyFetch(/*wr_id=*/vpage, vpage, /*node=*/0));
+    vpage = (vpage + 1) % kPages;
+  }
+  ADIOS_CHECK_EQ(layer.digests_computed(), kPages);  // Priming only.
+}
+BENCHMARK(BM_VerifyFetchChecksumMemo);
 
 void BM_PageTableFaultCycle(benchmark::State& state) {
   Engine e;

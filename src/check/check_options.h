@@ -47,7 +47,8 @@ struct CheckOptions {
   // with a placement map): every detected-but-unrepaired slot must be marked
   // divergent in the placement map, and — incrementally, a window of pages
   // per audit — the recorded digest of every in-sync replica of a cold
-  // remote page must match a fresh recompute of the region.
+  // remote page, and every memoised digest whose write generation is
+  // current, must match a fresh recompute of the region.
   bool audit_integrity = true;
 
   // Simulated nanoseconds between periodic audits; 0 = only the final audit.

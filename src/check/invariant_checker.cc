@@ -1,5 +1,7 @@
 #include "src/check/invariant_checker.h"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -78,11 +80,17 @@ void InvariantChecker::AuditChecksumCoverage() {
       Violation("corrupt replica not quarantined", os.str());
     }
   });
-  // (b) Ledger freshness, a window of pages per audit so periodic audits stay
-  // cheap: for a cold remote page with no write-back in flight, every in-sync
-  // replica's recorded digest must match a fresh recompute of the region.
-  // Checker-poisoned pages are skipped — their region bytes are deliberately
-  // scrambled (poison_evicted_pages), which is not modeled corruption.
+  // A window of pages per audit, so periodic audits stay cheap:
+  // (b) Memo coherence: a digest the layer would serve from its memo (the
+  // page's write generation is current) must equal a fresh recompute, in
+  // any page state. A mismatch means some region write missed its
+  // generation bump.
+  // (c) Ledger freshness: for a cold remote page with no write-back in
+  // flight, every in-sync replica's recorded digest must match a fresh
+  // recompute of the region. Checker-poisoned pages are skipped — their
+  // region bytes are deliberately scrambled (poison_evicted_pages), which is
+  // not modeled corruption.
+  // Both compare against FreshChecksum, never the memo under audit.
   constexpr uint64_t kIntegrityAuditWindow = 1024;
   const uint64_t pages =
       std::min<uint64_t>(in.num_pages(), deps_.mm->page_table().num_pages());
@@ -92,6 +100,14 @@ void InvariantChecker::AuditChecksumCoverage() {
   const uint64_t window = std::min<uint64_t>(pages, kIntegrityAuditWindow);
   for (uint64_t i = 0; i < window; ++i) {
     const uint64_t vpage = integrity_cursor_++ % pages;
+    const uint64_t fresh = in.FreshChecksum(vpage);
+    const std::optional<uint64_t> memo = in.MemoisedChecksum(vpage);
+    if (memo.has_value() && *memo != fresh) {
+      std::ostringstream os;
+      os << "page " << vpage << " memoised digest " << *memo
+         << " is current by write generation but does not match the region";
+      Violation("digest memo stale", os.str());
+    }
     if (deps_.mm->StateOf(vpage) != PageState::kRemote) {
       continue;
     }
@@ -101,13 +117,12 @@ void InvariantChecker::AuditChecksumCoverage() {
     if (deps_.reclaimer != nullptr && deps_.reclaimer->WritebackInFlight(vpage)) {
       continue;
     }
-    const uint64_t expect = in.ComputeChecksum(vpage);
     for (uint32_t slot = 0; slot < in.replicas(); ++slot) {
       const uint32_t node = in.NodeOfSlot(vpage, slot);
       if (!deps_.placement->InSync(vpage, node)) {
         continue;  // Divergent copies lag the region by definition.
       }
-      if (in.ChecksumOf(vpage, slot) != expect) {
+      if (in.ChecksumOf(vpage, slot) != fresh) {
         std::ostringstream os;
         os << "page " << vpage << " slot " << slot << " (node " << node
            << ") is in sync but its recorded digest does not match the region";
@@ -466,10 +481,15 @@ void InvariantChecker::OnMap(uint64_t vpage) {
 }
 
 void InvariantChecker::XorPage(uint64_t vpage) {
-  std::byte* bytes = deps_.region->data() + PageStart(vpage);
-  for (uint64_t i = 0; i < kPageSize; ++i) {
-    bytes[i] ^= kPoisonMask;
+  // A memory-manager page is 1 << page_shift bytes, and the page table may
+  // run past the end of the region.
+  const uint64_t page_bytes = deps_.mm->page_bytes();
+  const uint64_t begin = vpage * page_bytes;
+  if (begin >= deps_.region->size()) {
+    return;
   }
+  deps_.region->XorBytes(begin, std::min(page_bytes, deps_.region->size() - begin),
+                         kPoisonMask);
 }
 
 void InvariantChecker::UnpoisonAll() {

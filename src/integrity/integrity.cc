@@ -20,6 +20,7 @@ IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, const RemoteRegion
   // Prime the map from the post-setup region: every replica of a page starts
   // in sync with ground truth, so the digest is the same for every slot.
   sums_.resize(num_pages * replicas);
+  memo_.resize(num_pages);
   for (uint64_t vpage = 0; vpage < num_pages; ++vpage) {
     const uint64_t sum = ComputeChecksum(vpage);
     for (uint32_t slot = 0; slot < replicas; ++slot) {
@@ -28,7 +29,37 @@ IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, const RemoteRegion
   }
 }
 
+uint64_t IntegrityLayer::RegionGeneration(uint64_t vpage) const {
+  const uint64_t begin = vpage * page_bytes_;
+  const uint64_t end = std::min<uint64_t>(begin + page_bytes_, region_->size());
+  uint64_t sum = 0;
+  for (uint64_t addr = begin; addr < end; addr += kPageSize) {
+    sum += region_->Generation(PageOf(addr));
+  }
+  return sum;
+}
+
 uint64_t IntegrityLayer::ComputeChecksum(uint64_t vpage) const {
+  ADIOS_DCHECK(vpage < num_pages_);
+  DigestMemo& memo = memo_[vpage];
+  const uint64_t generation = RegionGeneration(vpage);
+  if (memo.generation != generation) {
+    memo.digest = FreshChecksum(vpage);
+    memo.generation = generation;
+    ++digests_computed_;
+  }
+  return memo.digest;
+}
+
+std::optional<uint64_t> IntegrityLayer::MemoisedChecksum(uint64_t vpage) const {
+  const DigestMemo& memo = memo_[vpage];
+  if (memo.generation != RegionGeneration(vpage)) {
+    return std::nullopt;
+  }
+  return memo.digest;
+}
+
+uint64_t IntegrityLayer::FreshChecksum(uint64_t vpage) const {
   const uint64_t begin = vpage * page_bytes_;
   if (begin >= region_->size()) {
     // Pages past the region (page table larger than the heap) digest empty.
@@ -59,9 +90,10 @@ bool IntegrityLayer::PayloadCorrupt(uint64_t wr_id, uint64_t vpage, uint32_t nod
   if (stored_poison_.count(key) != 0) {
     return true;
   }
-  // Real recompute on the clean path: catches a slot whose recorded digest
-  // went stale against the region (a lost write-back), and makes the verify
-  // cycles charged to the worker an honest model of hashing 4 KB.
+  // Digest-vs-region comparison on the clean path: catches a slot whose
+  // recorded digest went stale against the region (a lost write-back). The
+  // region digest is memoised per write generation, so an unchanged page is
+  // not rehashed; the worker's simulated charge is VerifyCost() either way.
   if (recompute_skip_ && recompute_skip_(vpage)) {
     return false;
   }
@@ -162,6 +194,8 @@ void IntegrityLayer::RegisterMetrics(MetricRegistry* registry) {
                           [this] { return static_cast<double>(unrepairable_); });
   registry->RegisterProbe("integrity.scrub_pages", {},
                           [this] { return static_cast<double>(scrub_pages_); });
+  registry->RegisterProbe("integrity.digests_computed", {},
+                          [this] { return static_cast<double>(digests_computed_); });
   registry->RegisterProbe("integrity.scrub_finds", {},
                           [this] { return static_cast<double>(scrub_finds_); });
   registry->RegisterProbe("integrity.served_corrupt", {},

@@ -14,8 +14,10 @@
 //
 // A fetched payload is corrupt iff its READ was wire-corrupted, or its source
 // slot is store-poisoned, or the slot's recorded digest no longer matches the
-// region (a lost update). Verification recomputes the page digest for real on
-// the clean path, so the verify cost charged to the worker core is honest.
+// region (a lost update). The region digest comes from a per-page memo that
+// is valid while the region's write generations for the page are unchanged,
+// so an unchanged page is hashed once, not once per fetch; the invariant
+// checker audits the memo against fresh recomputes.
 //
 // Detection bookkeeping keeps the conservation law the invariant checker
 // audits:  detected == repaired + outstanding  (unrepairable entries stay
@@ -26,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -132,8 +135,21 @@ class IntegrityLayer {
   uint64_t ChecksumOf(uint64_t vpage, uint32_t slot) const {
     return sums_[SlotKey(vpage, slot)];
   }
-  // Recomputes the digest of vpage's current region contents.
+  // Digest of vpage's current region contents: the memoised value while the
+  // region pages it covers are unwritten since it was hashed, else a fresh
+  // hash that refreshes the memo.
   uint64_t ComputeChecksum(uint64_t vpage) const;
+  // Hashes vpage's current region contents, never reading or filling the
+  // memo (the checker's audit).
+  uint64_t FreshChecksum(uint64_t vpage) const;
+  // The memoised digest of vpage when its write generation is current, so
+  // that ComputeChecksum would return it without hashing; nullopt otherwise.
+  std::optional<uint64_t> MemoisedChecksum(uint64_t vpage) const;
+  // Codec calls made by ComputeChecksum (memo misses, priming included).
+  uint64_t digests_computed() const { return digests_computed_; }
+  // Test-only: flips vpage's memoised digest without touching its
+  // generation, as a memo that missed a region write would look.
+  void CorruptDigestMemoForTest(uint64_t vpage) { memo_[vpage].digest ^= 1; }
   bool StoredPoisoned(uint64_t vpage, uint32_t slot) const {
     return stored_poison_.count(SlotKey(vpage, slot)) != 0;
   }
@@ -153,6 +169,8 @@ class IntegrityLayer {
     ADIOS_DCHECK(slot < replicas_);
     return vpage * replicas_ + slot;
   }
+  // Sum of the region write generations of the 4 KiB pages vpage covers.
+  uint64_t RegionGeneration(uint64_t vpage) const;
   // True when the payload of this completed READ is corrupt. Consumes the
   // read-wire flag for wr_id.
   bool PayloadCorrupt(uint64_t wr_id, uint64_t vpage, uint32_t node, bool recompute);
@@ -166,6 +184,15 @@ class IntegrityLayer {
 
   // Digest each (vpage, slot) should verify against, vpage * replicas + slot.
   std::vector<uint64_t> sums_;
+  // Per-vpage digest of the region contents, valid while `generation`
+  // equals RegionGeneration(vpage).
+  struct DigestMemo {
+    uint64_t digest = 0;
+    uint64_t generation = kNoGeneration;
+  };
+  static constexpr uint64_t kNoGeneration = ~0ull;
+  mutable std::vector<DigestMemo> memo_;
+  mutable uint64_t digests_computed_ = 0;
   // In-flight corrupted WQEs, keyed by wr_id. READ and WRITE live in
   // separate sets because a worker fetch wr_id (== vpage) can collide with a
   // write-back wr_id for the same page.

@@ -9,6 +9,12 @@
 // Whether a page is cached in the compute node's local DRAM is tracked
 // separately by the PageTable — residency affects *timing*, never data.
 //
+// Every mutation goes through WriteObject/WriteBytes/XorBytes, each of which
+// bumps a write generation per 4 KiB page it touches (there is no mutable
+// data() accessor). A reader that remembers a page's generation can tell
+// whether its bytes changed without reading them; the integrity layer
+// memoises page digests this way (docs/INTEGRITY.md §1).
+//
 // RemoteHeap is a bump allocator handing out RemoteAddr offsets; apps build
 // their tables/indexes in it during setup (setup writes bypass fault timing).
 
@@ -36,7 +42,8 @@ inline RemoteAddr PageStart(uint64_t vpage) { return vpage << kPageShift; }
 
 class RemoteRegion {
  public:
-  explicit RemoteRegion(size_t bytes) : data_(bytes) {
+  explicit RemoteRegion(size_t bytes)
+      : data_(bytes), generations_((bytes >> kPageShift) * sizeof(uint64_t)) {
     ADIOS_CHECK(bytes % kPageSize == 0);
   }
 
@@ -44,7 +51,6 @@ class RemoteRegion {
   RemoteRegion(const RemoteRegion&) = delete;
   RemoteRegion& operator=(const RemoteRegion&) = delete;
 
-  std::byte* data() { return data_.data(); }
   const std::byte* data() const { return data_.data(); }
   size_t size() const { return data_.size(); }
   uint64_t num_pages() const { return data_.size() >> kPageShift; }
@@ -56,6 +62,7 @@ class RemoteRegion {
   void WriteObject(RemoteAddr addr, const T& value) {
     ADIOS_CHECK_LE(addr + sizeof(T), size());
     std::memcpy(data_.data() + addr, &value, sizeof(T));
+    BumpGenerations(addr, sizeof(T));
   }
 
   template <typename T>
@@ -69,6 +76,7 @@ class RemoteRegion {
   void WriteBytes(RemoteAddr addr, const void* src, size_t len) {
     ADIOS_CHECK_LE(addr + len, size());
     std::memcpy(data_.data() + addr, src, len);
+    BumpGenerations(addr, len);
   }
 
   void ReadBytes(RemoteAddr addr, void* dst, size_t len) const {
@@ -76,8 +84,42 @@ class RemoteRegion {
     std::memcpy(dst, data_.data() + addr, len);
   }
 
+  // XORs every byte of [addr, addr + len) with `mask` in place (the
+  // invariant checker's self-inverse poison-on-evict scramble).
+  void XorBytes(RemoteAddr addr, size_t len, std::byte mask) {
+    ADIOS_CHECK_LE(addr + len, size());
+    std::byte* bytes = data_.data() + addr;
+    for (size_t i = 0; i < len; ++i) {
+      bytes[i] ^= mask;
+    }
+    BumpGenerations(addr, len);
+  }
+
+  // Number of mutating calls that touched 4 KiB region page `page`; 0 until
+  // the first write. Never decreases, so a sum over several pages is
+  // unchanged exactly when none of them was written.
+  uint64_t Generation(uint64_t page) const {
+    ADIOS_DCHECK(page < num_pages());
+    uint64_t generation;
+    std::memcpy(&generation, generations_.data() + page * sizeof(uint64_t), sizeof(uint64_t));
+    return generation;
+  }
+
  private:
+  void BumpGenerations(RemoteAddr addr, size_t len) {
+    if (len == 0) {
+      return;
+    }
+    const uint64_t last = (addr + len - 1) >> kPageShift;
+    for (uint64_t page = addr >> kPageShift; page <= last; ++page) {
+      const uint64_t generation = Generation(page) + 1;
+      std::memcpy(generations_.data() + page * sizeof(uint64_t), &generation, sizeof(uint64_t));
+    }
+  }
+
   ZeroPages data_;
+  // One uint64_t per 4 KiB page, demand-faulted like the bytes it counts.
+  ZeroPages generations_;
 };
 
 class RemoteHeap {

@@ -633,7 +633,7 @@ size_t Worker::DrainMemCq() {
           continue;  // Late or duplicate (dropped), or an error the table took.
         }
         if (integrity_ != nullptr) {
-          // Verify before mapping: recompute the page checksum against the
+          // Verify before mapping: compare the page's region digest with the
           // slot's recorded digest (docs/INTEGRITY.md). The hash cost is
           // charged to this core whether the page is clean or not.
           core_->Consume(integrity_->VerifyCost());

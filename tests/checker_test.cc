@@ -12,6 +12,7 @@
 #include "src/apps/array_app.h"
 #include "src/base/time.h"
 #include "src/core/md_system.h"
+#include "src/integrity/integrity.h"
 #include "src/mem/memory_manager.h"
 #include "src/mem/remote_heap.h"
 #include "src/sim/engine.h"
@@ -109,6 +110,41 @@ TEST(InvariantChecker, UnpoisonAllRestoresEveryEvictedPage) {
   }
 }
 
+// Under page_shift > 12 a page spans several 4 KiB region pages: evicting it
+// scrambles all of them and none of a resident neighbour's.
+TEST(InvariantChecker, PoisonCoversWholeLargePage) {
+  Engine engine;
+  MemoryManager::Options o = SmallMmOptions();
+  o.page_shift = 13;
+  MemoryManager mm(&engine, o);
+  RemoteRegion region(16 * 2 * kPageSize);
+
+  CheckOptions opts = NonFatalOptions();
+  opts.poison_evicted_pages = true;
+  InvariantChecker::Deps deps;
+  deps.engine = &engine;
+  deps.mm = &mm;
+  deps.region = &region;
+  InvariantChecker checker(opts, deps);
+  checker.Install();
+
+  const uint64_t magic = 0xFEEDFACECAFED00Dull;
+  const RemoteAddr in_page0 = kPageSize + 8;      // Second half of page 0.
+  const RemoteAddr in_page1 = 3 * kPageSize + 8;  // Second half of page 1.
+  region.WriteObject(in_page0, magic);
+  region.WriteObject(in_page1, magic);
+  for (uint64_t p = 0; p < 2; ++p) {
+    mm.BeginFetch(p);
+    mm.CompleteFetch(p);
+  }
+  mm.EvictPage(1);
+  EXPECT_TRUE(checker.PageIsPoisoned(1));
+  EXPECT_EQ(region.ReadObject<uint64_t>(in_page0), magic);  // Resident: untouched.
+  EXPECT_NE(region.ReadObject<uint64_t>(in_page1), magic);
+  checker.UnpoisonAll();
+  EXPECT_EQ(region.ReadObject<uint64_t>(in_page1), magic);
+}
+
 // --- Frame-accounting leak ---
 
 TEST(InvariantChecker, FrameAccountingLeakIsCounted) {
@@ -199,6 +235,43 @@ TEST(InvariantChecker, PageTableCounterDriftIsCaught) {
   mm.page_table().CorruptStateForTest(2, PageState::kPresent);
   checker.AuditNow();
   EXPECT_GE(checker.report().violations, 1u);
+}
+
+// --- Integrity digest memo ---
+
+// A memoised digest that is current by write generation but no longer
+// matches the region (a region write that missed its generation bump) is
+// caught by the checksum audit's fresh recompute.
+TEST(InvariantChecker, StaleDigestMemoIsCounted) {
+  Engine engine;
+  MemoryManager mm(&engine, SmallMmOptions());
+  RemoteRegion region(16 * kPageSize);
+  region.WriteObject<uint64_t>(PageStart(5) + 64, 0x5eed5eedull);
+  IntegrityConfig cfg;
+  cfg.verify = true;
+  IntegrityLayer integrity(cfg, &region, 16, kPageSize, /*num_nodes=*/2, /*replicas=*/2);
+  PlacementMap placement(16, /*num_nodes=*/2, /*replicas=*/2);
+  InvariantChecker::Deps deps;
+  deps.engine = &engine;
+  deps.mm = &mm;
+  deps.region = &region;
+  deps.integrity = &integrity;
+  deps.placement = &placement;
+  InvariantChecker checker(NonFatalOptions(), deps);
+  checker.Install();
+
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 0u);
+
+  integrity.CorruptDigestMemoForTest(5);
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 1u);
+
+  // A tracked write retires the stale entry: the next digest is rehashed.
+  region.WriteObject<uint64_t>(PageStart(5) + 64, 0x5eed5eedull);
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 1u);
+  EXPECT_EQ(integrity.ComputeChecksum(5), integrity.FreshChecksum(5));
 }
 
 // --- Stack overflow ---

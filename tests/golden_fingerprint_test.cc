@@ -8,7 +8,10 @@
 // dropped, failed, engine events, FNV-1a hash over every sample's
 // (id, e2e_ns)}. With the invariant checker on (ADIOS_CHECKS=1), its periodic
 // audits are extra engine events that change nothing else; they are
-// subtracted, so the same constants hold on that build.
+// subtracted, so the same constants hold on that build. Each case also pins
+// its integrity outcome {detected, repaired, unrepairable, scrub_pages}
+// (all zero where the integrity layer is off), so a change that hid a
+// corruption cannot pass on timing alone.
 //
 // Re-baseline rule: the constants change only in a change that intends to
 // alter simulated behaviour, and that change says so in CHANGES.md. A host
@@ -43,12 +46,22 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
+struct IntegrityCounts {
+  uint64_t detected = 0;
+  uint64_t repaired = 0;
+  uint64_t unrepairable = 0;
+  uint64_t scrub_pages = 0;
+
+  bool operator==(const IntegrityCounts&) const = default;
+};
+
 struct GoldenCase {
   const char* name;
   double rps;
   std::function<std::unique_ptr<Application>()> make_app;
   std::function<SystemConfig()> make_config;
   Fingerprint golden;
+  IntegrityCounts golden_integrity{};
 };
 
 constexpr uint64_t kSeed = 1;
@@ -61,12 +74,14 @@ SystemConfig Preset() {
   return c;
 }
 
-Fingerprint RunCase(const GoldenCase& gc) {
+Fingerprint RunCase(const GoldenCase& gc, IntegrityCounts* integrity) {
   std::unique_ptr<Application> app = gc.make_app();
   MdSystem sys(gc.make_config(), app.get());
   LoadGenerator::Options lo;
   lo.max_samples = 1u << 20;
   const RunResult r = sys.Run(gc.rps, kWarmup, kMeasure, &lo);
+  *integrity = {r.integrity.detected, r.integrity.repaired, r.integrity.unrepairable,
+                r.integrity.scrub_pages};
   const InvariantChecker* checker = sys.invariant_checker();
   const uint64_t audit_events = checker != nullptr ? checker->report().audit_events : 0;
   Fingerprint fp{r.sent, r.completed, r.dropped, r.requests_failed,
@@ -129,7 +144,8 @@ std::vector<GoldenCase> Cases() {
         c.fabric.link_classes = kNumTrafficClasses;
         return c;
       },
-      {4089, 4089, 0, 0, 196013, 0x94c28b5e0d2d6398ull}});
+      {4089, 4089, 0, 0, 196013, 0x94c28b5e0d2d6398ull},
+      {1, 1, 0, 64}});
   return cases;
 }
 
@@ -137,10 +153,14 @@ class GoldenFingerprint : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(GoldenFingerprint, MatchesRecordedConstants) {
   const GoldenCase gc = Cases()[GetParam()];
-  const Fingerprint fp = RunCase(gc);
+  IntegrityCounts ic;
+  const Fingerprint fp = RunCase(gc, &ic);
   EXPECT_EQ(fp, gc.golden) << gc.name << " now reads {" << fp.sent << ", " << fp.completed
                            << ", " << fp.dropped << ", " << fp.failed << ", " << fp.events
                            << ", 0x" << std::hex << fp.samples_hash << "ull}";
+  EXPECT_EQ(ic, gc.golden_integrity)
+      << gc.name << " integrity now reads {" << ic.detected << ", " << ic.repaired << ", "
+      << ic.unrepairable << ", " << ic.scrub_pages << "}";
   EXPECT_GT(fp.completed, 0u);
 }
 

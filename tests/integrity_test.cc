@@ -157,9 +157,11 @@ class IntegrityLayerTest : public ::testing::Test {
   static constexpr uint32_t kReplicas = 2;
 
   IntegrityLayerTest() : region_(kPages * kPageSize) {
-    for (uint64_t i = 0; i < region_.size(); ++i) {
-      region_.data()[i] = static_cast<std::byte>(i * 17 + 3);
+    std::vector<std::byte> bytes(region_.size());
+    for (uint64_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::byte>(i * 17 + 3);
     }
+    region_.WriteBytes(0, bytes.data(), bytes.size());
     IntegrityConfig cfg;
     cfg.verify = true;
     layer_ = std::make_unique<IntegrityLayer>(cfg, &region_, kPages, kPageSize, kNodes,
@@ -219,7 +221,7 @@ TEST_F(IntegrityLayerTest, LostUpdateDetectedByRecompute) {
   // The app dirties page 5 but the write-back never lands: the recorded
   // digests go stale against the region, and the next verified fetch of
   // either slot catches it.
-  region_.data()[5 * kPageSize + 9] ^= std::byte{0x40};
+  region_.XorBytes(5 * kPageSize + 9, 1, std::byte{0x40});
   EXPECT_FALSE(layer_->VerifyFetch(/*wr_id=*/5, 5, /*node=*/1));
   // A write-back fan-out refreshes both slots and the fetch is clean again.
   layer_->OnWritePosted(/*wr_id=*/200, /*vpage=*/5);
@@ -236,7 +238,7 @@ TEST_F(IntegrityLayerTest, PostTimeSnapshotWinsOverCompletionTimeRegion) {
   // wire carried), so the slot correctly reads as stale afterwards.
   const uint64_t sum_a = layer_->ComputeChecksum(6);
   layer_->OnWritePosted(/*wr_id=*/300, /*vpage=*/6);
-  region_.data()[6 * kPageSize] ^= std::byte{0xff};  // Re-dirty in flight.
+  region_.XorBytes(6 * kPageSize, 1, std::byte{0xff});  // Re-dirty in flight.
   layer_->OnReplicaWritten(/*wr_id=*/300, /*vpage=*/6, /*node=*/0);
   EXPECT_EQ(layer_->ChecksumOf(6, 0), sum_a);
   EXPECT_NE(layer_->ChecksumOf(6, 0), layer_->ComputeChecksum(6));
@@ -293,14 +295,67 @@ TEST_F(IntegrityLayerTest, RecomputeFilterSkipsDigestButNotWireEvidence) {
   layer_->set_recompute_filter([&skip](uint64_t) { return skip; });
   // Region scrambled (as the checker's poison-on-evict does): the filter
   // suppresses the digest comparison...
-  region_.data()[0] ^= std::byte{0xa5};
+  region_.XorBytes(0, 1, std::byte{0xa5});
   EXPECT_TRUE(layer_->VerifyFetch(/*wr_id=*/0, /*vpage=*/0, /*node=*/0));
   // ...but hard evidence still convicts.
   layer_->OnWireCorrupt(/*wr_id=*/0, /*is_write=*/false);
   EXPECT_FALSE(layer_->VerifyFetch(/*wr_id=*/0, /*vpage=*/0, /*node=*/0));
   skip = false;
-  region_.data()[0] ^= std::byte{0xa5};  // Restore: digest matches again.
+  region_.XorBytes(0, 1, std::byte{0xa5});  // Restore: digest matches again.
   EXPECT_TRUE(layer_->VerifyFetch(/*wr_id=*/0, /*vpage=*/0, /*node=*/0));
+}
+
+TEST_F(IntegrityLayerTest, DigestMemoFollowsRegionWrites) {
+  auto fresh_hash = [&](uint64_t vpage) {
+    std::vector<std::byte> page(kPageSize);
+    region_.ReadBytes(PageStart(vpage), page.data(), page.size());
+    return PageChecksum(page.data(), page.size(), IntegrityConfig{}.checksum_seed);
+  };
+  const uint64_t primed = layer_->digests_computed();
+  EXPECT_EQ(primed, kPages);  // Priming hashes every page once.
+  const uint64_t sum3 = layer_->ComputeChecksum(3);
+  const uint64_t sum4 = layer_->ComputeChecksum(4);
+  EXPECT_EQ(layer_->digests_computed(), primed);  // Unchanged pages: memo hits.
+
+  // After a write, the digest is a fresh hash of the new bytes.
+  region_.WriteObject<uint32_t>(PageStart(3) + 100, 0xfeedfaceu);
+  EXPECT_FALSE(layer_->MemoisedChecksum(3).has_value());
+  const uint64_t written = layer_->ComputeChecksum(3);
+  EXPECT_NE(written, sum3);
+  EXPECT_EQ(written, fresh_hash(3));
+  EXPECT_EQ(layer_->digests_computed(), primed + 1);
+
+  // Writing a byte and restoring it gives back the original digest.
+  region_.XorBytes(PageStart(3) + 7, 1, std::byte{0x10});
+  EXPECT_EQ(layer_->ComputeChecksum(3), fresh_hash(3));
+  region_.XorBytes(PageStart(3) + 7, 1, std::byte{0x10});
+  EXPECT_EQ(layer_->ComputeChecksum(3), written);
+
+  // Writes to page 3 left page 4's memo valid.
+  EXPECT_EQ(layer_->MemoisedChecksum(4), sum4);
+  const uint64_t computed = layer_->digests_computed();
+  EXPECT_EQ(layer_->ComputeChecksum(4), sum4);
+  EXPECT_EQ(layer_->digests_computed(), computed);
+
+  // page_shift 14: each simulated page spans four 4 KiB region pages, and a
+  // write to any of them invalidates the memo.
+  constexpr uint64_t kLargePage = 4 * kPageSize;
+  IntegrityConfig cfg;
+  cfg.verify = true;
+  IntegrityLayer large(cfg, &region_, kPages / 4, kLargePage, kNodes, kReplicas);
+  for (uint64_t region_page = 4; region_page < 8; ++region_page) {
+    const uint64_t before = large.ComputeChecksum(1);
+    ASSERT_EQ(large.MemoisedChecksum(1), before);
+    region_.XorBytes(PageStart(region_page) + 5, 1, std::byte{0x81});
+    EXPECT_FALSE(large.MemoisedChecksum(1).has_value()) << "region page " << region_page;
+    std::vector<std::byte> page(kLargePage);
+    region_.ReadBytes(kLargePage, page.data(), page.size());
+    EXPECT_EQ(large.ComputeChecksum(1),
+              PageChecksum(page.data(), page.size(), cfg.checksum_seed));
+    EXPECT_NE(large.ComputeChecksum(1), before);
+    // The other large page was not written.
+    EXPECT_TRUE(large.MemoisedChecksum(0).has_value());
+  }
 }
 
 TEST_F(IntegrityLayerTest, SlotPlacementMatchesPlacementFormula) {

@@ -53,6 +53,35 @@ TEST(RemoteRegion, BytesNeverWrittenReadAsZero) {
   }
 }
 
+TEST(RemoteRegion, WriteGenerationBumpsEveryTouchedPage) {
+  RemoteRegion region(8 * kPageSize);
+  auto generations = [&] {
+    std::vector<uint64_t> g;
+    for (uint64_t p = 0; p < region.num_pages(); ++p) {
+      g.push_back(region.Generation(p));
+    }
+    return g;
+  };
+  EXPECT_EQ(generations(), std::vector<uint64_t>(8, 0));
+
+  // A write straddling the page 2 / page 3 boundary bumps both, nothing else.
+  region.WriteObject<uint64_t>(3 * kPageSize - 4, 0x1122334455667788ull);
+  EXPECT_EQ(generations(), (std::vector<uint64_t>{0, 0, 1, 1, 0, 0, 0, 0}));
+  // One bump per call, however many bytes of the page it covers.
+  const std::vector<std::byte> page(kPageSize, std::byte{7});
+  region.WriteBytes(5 * kPageSize, page.data(), page.size());
+  region.XorBytes(3 * kPageSize + 10, kPageSize, std::byte{0xa5});  // Pages 3 and 4.
+  region.WriteBytes(6 * kPageSize, page.data(), 0);  // Empty write touches no page.
+  EXPECT_EQ(generations(), (std::vector<uint64_t>{0, 0, 1, 2, 1, 1, 0, 0}));
+
+  // Reads bump nothing.
+  const std::vector<uint64_t> before = generations();
+  (void)region.ReadObject<uint64_t>(3 * kPageSize - 4);
+  std::vector<std::byte> dst(2 * kPageSize);
+  region.ReadBytes(2 * kPageSize, dst.data(), dst.size());
+  EXPECT_EQ(generations(), before);
+}
+
 TEST(RemoteHeap, BumpAllocationAligned) {
   RemoteRegion region(16 * kPageSize);
   RemoteHeap heap(&region);
